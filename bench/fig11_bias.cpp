@@ -86,11 +86,14 @@ int main(int argc, char** argv) {
     for (std::size_t c = 0; c < selector.clusters().size(); ++c) {
       const auto& members = selector.clusters()[c];
       std::size_t fastest = members[0], slowest = members[0];
+      const auto& population = trainer.population();
       for (std::size_t id : members) {
-        if (trainer.client_latency(id) < trainer.client_latency(fastest)) {
+        if (population.client_latency(id) <
+            population.client_latency(fastest)) {
           fastest = id;
         }
-        if (trainer.client_latency(id) > trainer.client_latency(slowest)) {
+        if (population.client_latency(id) >
+            population.client_latency(slowest)) {
           slowest = id;
         }
       }

@@ -30,12 +30,14 @@
 //       --rounds=5 --clients=12 --per-round=4 --summary-json=/tmp/s.json
 //   ./haccs_worker --worker-id=0 --workers=2 --port-file=/tmp/port ... &
 //   ./haccs_worker --worker-id=1 --workers=2 --port-file=/tmp/port ... &
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -111,6 +113,54 @@ void print_usage() {
       "  (--trace merges worker span shards into one Chrome trace)");
 }
 
+/// The §IV-A summary uplink: one P(y) summary per client, sent after each
+/// peer's hello — by a worker for its own clients, by an aggregator for its
+/// subtree — and repeated on every reconnect (session resume), so a
+/// restarted server can rebuild its view from the fleet alone.
+class SummaryInbox {
+ public:
+  explicit SummaryInbox(std::size_t num_clients)
+      : summaries_(num_clients), have_(num_clients, false) {}
+
+  /// Receives `count` Summary frames; logs and returns false when one never
+  /// arrives or names an unknown client. `peer` names the sender in logs.
+  bool receive(haccs::net::Transport& transport, std::uint32_t count,
+               int timeout_ms, const std::string& peer) {
+    namespace net = haccs::net;
+    for (std::uint32_t s = 0; s < count; ++s) {
+      net::Frame frame;
+      if (transport.recv(&frame, timeout_ms) != net::TransportStatus::Ok ||
+          frame.type != net::MessageType::Summary) {
+        std::fprintf(stderr, "%s: summary %u of %u never arrived\n",
+                     peer.c_str(), s + 1, count);
+        return false;
+      }
+      const net::SummaryMsg msg = net::decode_summary(frame);
+      if (msg.client_id >= summaries_.size()) {
+        std::fprintf(stderr, "summary for unknown client %u\n", msg.client_id);
+        return false;
+      }
+      haccs::core::ClientSummary summary;
+      summary.kind = haccs::stats::SummaryKind::Response;
+      summary.response = haccs::stats::decode_response_summary(msg);
+      summaries_[msg.client_id] = std::move(summary);
+      have_[msg.client_id] = true;
+    }
+    return true;
+  }
+
+  const std::vector<haccs::core::ClientSummary>& summaries() const {
+    return summaries_;
+  }
+  bool complete() const {
+    return std::find(have_.begin(), have_.end(), false) == have_.end();
+  }
+
+ private:
+  std::vector<haccs::core::ClientSummary> summaries_;
+  std::vector<bool> have_;
+};
+
 /// The worker fleet: initial accept, per-session chaos wrapping, and
 /// mid-run re-accept of reconnecting workers (serving mode).
 ///
@@ -123,17 +173,15 @@ void print_usage() {
 class Fleet {
  public:
   Fleet(haccs::net::TcpListener& listener, std::size_t num_workers,
-        std::size_t num_clients, int io_timeout_ms,
+        SummaryInbox& inbox, int io_timeout_ms,
         haccs::net::ChaosOptions chaos)
       : listener_(listener),
-        num_clients_(num_clients),
+        inbox_(inbox),
         io_timeout_ms_(io_timeout_ms),
         chaos_(chaos),
         slots_(num_workers),
         pending_(num_workers),
-        generation_(num_workers, 0),
-        summaries_(num_clients),
-        have_summary_(num_clients, false) {}
+        generation_(num_workers, 0) {}
 
   /// Blocks until all workers have completed the Hello + summary handshake.
   bool accept_all(int accept_timeout_ms) {
@@ -190,15 +238,6 @@ class Fleet {
   const std::vector<std::unique_ptr<haccs::net::Transport>>& slots() const {
     return slots_;
   }
-  const std::vector<haccs::core::ClientSummary>& summaries() const {
-    return summaries_;
-  }
-  bool have_all_summaries() const {
-    for (bool have : have_summary_) {
-      if (!have) return false;
-    }
-    return true;
-  }
 
  private:
   static constexpr int kReacceptTimeoutMs = 200;
@@ -223,26 +262,9 @@ class Fleet {
                    hello.worker_id, slots_.size() - 1);
       return -1;
     }
-    // §IV-A uplink: one P(y) summary per hosted client — sent on the first
-    // connect and repeated on every reconnect (session resume), so a
-    // restarted server can rebuild its view from the fleet alone.
-    for (std::uint32_t s = 0; s < hello.num_clients; ++s) {
-      if (transport->recv(&frame, io_timeout_ms_) != net::TransportStatus::Ok ||
-          frame.type != net::MessageType::Summary) {
-        std::fprintf(stderr, "worker %u: summary %u of %u never arrived\n",
-                     hello.worker_id, s + 1, hello.num_clients);
-        return -1;
-      }
-      const net::SummaryMsg msg = net::decode_summary(frame);
-      if (msg.client_id >= num_clients_) {
-        std::fprintf(stderr, "summary for unknown client %u\n", msg.client_id);
-        return -1;
-      }
-      haccs::core::ClientSummary summary;
-      summary.kind = haccs::stats::SummaryKind::Response;
-      summary.response = haccs::stats::decode_response_summary(msg);
-      summaries_[msg.client_id] = std::move(summary);
-      have_summary_[msg.client_id] = true;
+    if (!inbox_.receive(*transport, hello.num_clients, io_timeout_ms_,
+                        "worker " + std::to_string(hello.worker_id))) {
+      return -1;
     }
     const auto w = static_cast<std::size_t>(hello.worker_id);
     // Chaos wraps the established session; the seed forks per (worker,
@@ -258,7 +280,7 @@ class Fleet {
   }
 
   haccs::net::TcpListener& listener_;
-  std::size_t num_clients_;
+  SummaryInbox& inbox_;
   int io_timeout_ms_;
   haccs::net::ChaosOptions chaos_;
   std::vector<std::unique_ptr<haccs::net::Transport>> slots_;
@@ -266,8 +288,6 @@ class Fleet {
   /// the old transport dead and claims the replacement via reacquire().
   std::vector<std::unique_ptr<haccs::net::Transport>> pending_;
   std::vector<std::size_t> generation_;
-  std::vector<haccs::core::ClientSummary> summaries_;
-  std::vector<bool> have_summary_;
 };
 
 /// The aggregator fleet (tree mode, §5j): accepts --aggs haccs_agg
@@ -279,16 +299,14 @@ class Fleet {
 class AggFleet {
  public:
   AggFleet(haccs::net::TcpListener& listener, std::size_t num_aggs,
-           std::size_t num_workers, std::size_t num_clients,
-           int io_timeout_ms, haccs::net::ChaosOptions chaos)
+           std::size_t num_workers, SummaryInbox& inbox, int io_timeout_ms,
+           haccs::net::ChaosOptions chaos)
       : listener_(listener),
         num_workers_(num_workers),
-        num_clients_(num_clients),
+        inbox_(inbox),
         io_timeout_ms_(io_timeout_ms),
         chaos_(chaos),
-        slots_(num_aggs),
-        summaries_(num_clients),
-        have_summary_(num_clients, false) {}
+        slots_(num_aggs) {}
 
   /// Blocks until every aggregator has completed the TopologyHello +
   /// summary-relay handshake. An aggregator only announces AFTER its own
@@ -332,26 +350,9 @@ class AggFleet {
                      hello.agg_id);
         return false;
       }
-      // The relayed §IV-A uplink: the subtree's one-per-client summaries.
-      for (std::uint32_t s = 0; s < hello.num_clients; ++s) {
-        if (transport->recv(&frame, io_timeout_ms_) !=
-                net::TransportStatus::Ok ||
-            frame.type != net::MessageType::Summary) {
-          std::fprintf(stderr, "agg %u: summary %u of %u never arrived\n",
-                       hello.agg_id, s + 1, hello.num_clients);
-          return false;
-        }
-        const net::SummaryMsg msg = net::decode_summary(frame);
-        if (msg.client_id >= num_clients_) {
-          std::fprintf(stderr, "summary for unknown client %u\n",
-                       msg.client_id);
-          return false;
-        }
-        haccs::core::ClientSummary summary;
-        summary.kind = haccs::stats::SummaryKind::Response;
-        summary.response = haccs::stats::decode_response_summary(msg);
-        summaries_[msg.client_id] = std::move(summary);
-        have_summary_[msg.client_id] = true;
+      if (!inbox_.receive(*transport, hello.num_clients, io_timeout_ms_,
+                          "agg " + std::to_string(hello.agg_id))) {
+        return false;
       }
       net::ChaosOptions forked = chaos_;
       forked.seed = chaos_.seed ^ (0xa11ce11aULL * (hello.agg_id + 1));
@@ -369,25 +370,14 @@ class AggFleet {
   const std::vector<std::unique_ptr<haccs::net::Transport>>& slots() const {
     return slots_;
   }
-  const std::vector<haccs::core::ClientSummary>& summaries() const {
-    return summaries_;
-  }
-  bool have_all_summaries() const {
-    for (bool have : have_summary_) {
-      if (!have) return false;
-    }
-    return true;
-  }
 
  private:
   haccs::net::TcpListener& listener_;
   std::size_t num_workers_;
-  std::size_t num_clients_;
+  SummaryInbox& inbox_;
   int io_timeout_ms_;
   haccs::net::ChaosOptions chaos_;
   std::vector<std::unique_ptr<haccs::net::Transport>> slots_;
-  std::vector<haccs::core::ClientSummary> summaries_;
-  std::vector<bool> have_summary_;
 };
 
 }  // namespace
@@ -508,21 +498,18 @@ int main(int argc, char** argv) try {
 
   // Exactly one fleet exists: workers (flat) or mid-tier aggregators
   // (tree). Both yield the same wire-borne summary view.
+  SummaryInbox inbox(fed.num_clients());
   std::optional<Fleet> fleet;
   std::optional<AggFleet> agg_fleet;
   if (num_aggs > 0) {
-    agg_fleet.emplace(listener, num_aggs, num_workers, fed.num_clients(),
-                      io_timeout_ms, chaos);
+    agg_fleet.emplace(listener, num_aggs, num_workers, inbox, io_timeout_ms,
+                      chaos);
     if (!agg_fleet->accept_all(accept_timeout_ms)) return 1;
   } else {
-    fleet.emplace(listener, num_workers, fed.num_clients(), io_timeout_ms,
-                  chaos);
+    fleet.emplace(listener, num_workers, inbox, io_timeout_ms, chaos);
     if (!fleet->accept_all(accept_timeout_ms)) return 1;
   }
-  const std::vector<core::ClientSummary>& wire_summaries =
-      num_aggs > 0 ? agg_fleet->summaries() : fleet->summaries();
-  const bool all_summaries = num_aggs > 0 ? agg_fleet->have_all_summaries()
-                                          : fleet->have_all_summaries();
+  const std::vector<core::ClientSummary>& wire_summaries = inbox.summaries();
 
   // ---- strategy ----
   std::size_t num_clusters = 0;  ///< reported on /status (0 = unclustered)
@@ -532,15 +519,15 @@ int main(int argc, char** argv) try {
   haccs.summary = stats::SummaryKind::Response;
   std::unique_ptr<fl::ClientSelector> selector;
   core::HaccsSelector* haccs_selector_ptr = nullptr;  ///< live re-cluster hook
+  if (strategy != "random" && !inbox.complete()) {
+    std::fprintf(stderr,
+                 "missing client summaries — check each worker's "
+                 "--worker-id/--workers against --workers here\n");
+    return 1;
+  }
   if (strategy == "random") {
     selector = std::make_unique<select::RandomSelector>();
   } else if (strategy == "haccs-py") {
-    if (!all_summaries) {
-      std::fprintf(stderr,
-                   "missing client summaries — check each worker's "
-                   "--worker-id/--workers against --workers here\n");
-      return 1;
-    }
     // Cluster from the summaries the workers actually sent: the wire-borne
     // equivalent of core::cluster_clients (and identical to it for the same
     // flags, since the f64 tables round-trip bit-exactly).
@@ -554,12 +541,6 @@ int main(int argc, char** argv) try {
     selector = std::move(haccs_selector);
   } else if (strategy == "dpp" || strategy == "fedlecc" ||
              strategy == "hics") {
-    if (!all_summaries) {
-      std::fprintf(stderr,
-                   "missing client summaries — check each worker's "
-                   "--worker-id/--workers against --workers here\n");
-      return 1;
-    }
     // These selectors key off each client's label histogram, which is
     // exactly the wire-borne P(y) response summary.
     std::vector<std::vector<double>> label_counts;
@@ -600,12 +581,7 @@ int main(int argc, char** argv) try {
   }
 
   // ---- train over the transports ----
-  fl::LocalWorkConfig work;
-  work.local = engine_config.local;
-  work.fedprox = engine_config.algorithm == fl::LocalAlgorithm::FedProx;
-  work.fedprox_mu = engine_config.fedprox_mu;
-  work.compression = engine_config.compression;
-
+  const fl::LocalWorkConfig work = fl::local_work(engine_config);
   fl::TransportDispatcherConfig dispatch_config;
   dispatch_config.work = work;
   dispatch_config.send_timeout_ms = io_timeout_ms;

@@ -9,6 +9,15 @@
 
 namespace haccs::data {
 
+std::vector<std::vector<double>> FederatedDataset::train_label_counts() const {
+  std::vector<std::vector<double>> counts;
+  counts.reserve(clients.size());
+  for (const auto& client : clients) {
+    counts.push_back(client.train.label_counts());
+  }
+  return counts;
+}
+
 namespace {
 
 Dataset make_empty(const SyntheticImageGenerator& gen) {

@@ -37,6 +37,8 @@ struct FederatedDataset {
   std::vector<ClientStyle> style;
 
   std::size_t num_clients() const { return clients.size(); }
+  /// Each client's training-split label counts, in client order.
+  std::vector<std::vector<double>> train_label_counts() const;
 };
 
 struct PartitionConfig {

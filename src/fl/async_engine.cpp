@@ -1,60 +1,27 @@
 #include "src/fl/async_engine.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <queue>
 #include <stdexcept>
+#include <tuple>
 
 #include "src/common/error.hpp"
-#include "src/fl/engine.hpp"  // update_is_valid
-#include "src/obs/events.hpp"
-#include "src/obs/metrics.hpp"
+#include "src/fl/dispatch.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/trace.hpp"
 #include "src/tensor/vecops.hpp"
 
 namespace haccs::fl {
 
-namespace {
-/// Async-engine telemetry. Counter names are shared with the synchronous
-/// engine where the semantics line up (rounds_total counts aggregations
-/// here); async-only instruments get their own names.
-struct AsyncMetrics {
-  obs::Counter& rounds = obs::Registry::global().counter("rounds_total");
-  obs::Counter& dispatched =
-      obs::Registry::global().counter("clients_dispatched_total");
-  obs::Counter& crashed =
-      obs::Registry::global().counter("clients_crashed_total");
-  obs::Counter& rejected =
-      obs::Registry::global().counter("updates_rejected_total");
-  obs::Counter& evaluations =
-      obs::Registry::global().counter("evaluations_total");
-  obs::Histogram& train_ms =
-      obs::Registry::global().histogram("local_train_wall_ms");
-  obs::Histogram& staleness =
-      obs::Registry::global().histogram("async_update_staleness",
-                                        {0, 1, 2, 4, 8, 16, 32, 64});
-
-  static AsyncMetrics& get() {
-    static AsyncMetrics metrics;
-    return metrics;
-  }
-};
-}  // namespace
-
 AsyncFederatedTrainer::AsyncFederatedTrainer(
     const data::FederatedDataset& dataset,
     std::function<nn::Sequential()> model_factory, AsyncEngineConfig config)
-    : dataset_(dataset),
-      model_factory_(std::move(model_factory)),
-      config_(config),
-      latency_model_(config.latency),
-      fault_model_(config.faults) {
-  if (dataset_.clients.empty()) {
-    throw std::invalid_argument("AsyncFederatedTrainer: no clients");
-  }
+    : model_factory_(std::move(model_factory)),
+      config_(std::move(config)),
+      population_("AsyncFederatedTrainer", dataset, model_factory_, config_),
+      fault_model_(config_.faults) {
   if (config_.max_in_flight == 0 ||
-      config_.max_in_flight > dataset_.clients.size()) {
+      config_.max_in_flight > population_.size()) {
     throw std::invalid_argument(
         "AsyncFederatedTrainer: max_in_flight out of range");
   }
@@ -70,52 +37,28 @@ AsyncFederatedTrainer::AsyncFederatedTrainer(
     throw std::invalid_argument(
         "AsyncFederatedTrainer: staleness_alpha must be >= 0");
   }
-  if (config_.max_update_norm < 0.0) {
-    throw std::invalid_argument(
-        "AsyncFederatedTrainer: max_update_norm must be >= 0");
-  }
-  // Same profile stream derivation as the synchronous engine, so a given
-  // seed assigns identical hardware in both (apples-to-apples comparisons).
-  Rng profile_rng(config_.seed ^ 0xdeadbeefcafef00dULL);
-  profiles_.reserve(dataset_.clients.size());
-  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
-    profiles_.push_back(sim::DeviceProfile::sample(profile_rng));
-  }
-}
-
-double AsyncFederatedTrainer::client_latency(std::size_t i) const {
-  if (i >= profiles_.size()) {
-    throw std::out_of_range("client_latency: bad client id");
-  }
-  return latency_model_.round_latency(profiles_[i],
-                                      dataset_.clients[i].train.size());
 }
 
 TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector) {
-  const auto schedule = sim::make_always_available(dataset_.clients.size());
+  const auto schedule = sim::make_always_available(population_.size());
   return run(selector, *schedule);
 }
 
 TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
                                            const sim::DropoutSchedule& dropout) {
-  if (dropout.num_clients() != dataset_.clients.size()) {
+  const std::size_t n = population_.size();
+  if (dropout.num_clients() != n) {
     throw std::invalid_argument("run: dropout schedule arity mismatch");
   }
   nn::Sequential model = model_factory_();
   std::vector<float> global_params = model.get_parameters();
-  const std::size_t n = dataset_.clients.size();
-
-  std::vector<ClientRuntimeInfo> view;
-  view.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ClientRuntimeInfo info;
-    info.id = i;
-    info.latency_s = client_latency(i);
-    info.num_samples = dataset_.clients[i].train.size();
-    info.last_loss = config_.initial_loss;
-    view.push_back(info);
-  }
+  std::vector<ClientRuntimeInfo> view = population_.make_client_view();
   selector.initialize(view);
+  // Settlements since the previous aggregation; async has no breakers.
+  RoundLedger ledger(selector, view, nullptr);
+  LocalWorkConfig work;
+  work.local = config_.local;
+  InProcessDispatcher trainer(population_.dataset(), model_factory_, work);
 
   Rng select_rng(config_.seed ^ 0x5e1ec70aULL);
   Rng train_rng(config_.seed ^ 0x7a314e55ULL);
@@ -134,18 +77,18 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.sequence > b.sequence;
+      return std::tie(a.time, a.sequence) > std::tie(b.time, b.sequence);
     }
   };
   std::priority_queue<Event, std::vector<Event>, Later> events;
 
   std::vector<bool> in_flight(n, false);
+  std::size_t active = 0;       // clients in flight
   std::size_t version = 0;      // aggregations completed
   double now = 0.0;
   std::uint64_t sequence = 0;
 
-  AsyncMetrics& metrics = AsyncMetrics::get();
+  EngineMetrics& metrics = EngineMetrics::get();
   // Wall time spent in local training since the last aggregation, for that
   // aggregation's phase breakdown.
   double train_wall_ms = 0.0;
@@ -176,27 +119,19 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
     event.loss = config_.initial_loss;
     // The fork is consumed even for crashed dispatches, keeping the
     // training streams aligned across fault configurations.
-    Rng client_rng = train_rng.fork();
+    const TrainJobSpec job{
+        .client_id = id, .epoch = version, .rng_seed = train_rng.next_u64()};
     if (fault.kind == sim::FaultKind::Crash) {
       event.crashed = true;  // dies mid-round; its compute is wasted
     } else {
       // Train now (simulation: result materializes at completion time).
-      obs::Span train_span("local_train", "fl");
       obs::StopWatch train_clock;
-      nn::Sequential local_model = model_factory_();
-      local_model.set_parameters(global_params);
-      const auto result =
-          train_local(local_model, dataset_.clients[id].train, config_.local,
-                      client_rng);
-      const double ms = train_clock.lap_ms();
-      train_wall_ms += ms;
-      metrics.train_ms.observe(ms);
-      const auto updated = local_model.get_parameters();
-      event.loss = result.average_loss;
-      event.delta.resize(updated.size());
-      for (std::size_t p = 0; p < updated.size(); ++p) {
-        event.delta[p] = updated[p] - global_params[p];
-      }
+      std::vector<TrainOutcome> out(1);
+      trainer.execute({&job, 1}, global_params, out);
+      train_wall_ms += train_clock.lap_ms();
+      event.loss = out[0].result.average_loss;
+      event.delta.resize(out[0].updated.size());
+      vec::diff(event.delta, out[0].updated, global_params);
       fault_model_.corrupt(fault, event.delta);
     }
     const double jitter =
@@ -213,6 +148,7 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
     event.time = now + latency;
     event.sequence = sequence++;
     in_flight[id] = true;
+    ++active;
     events.push(event);
     return true;
   };
@@ -226,109 +162,82 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
   std::vector<Event> buffer;
   double last_aggregation_time = 0.0;
   double last_accuracy = 0.0, last_loss = config_.initial_loss;
-  // Fault accounting carried into the next aggregation's record.
-  std::vector<std::size_t> crashed_since, rejected_since;
-  std::size_t arrived_since = 0;
 
   while (version < config_.aggregations && !events.empty()) {
     Event event = events.top();
     events.pop();
     now = event.time;
     in_flight[event.client] = false;
+    --active;
     if (event.crashed) {
-      // Crash event: the in-flight slot is freed at the crash instant and
-      // the refill below re-dispatches immediately.
-      crashed_since.push_back(event.client);
-      obs::instant("client_crash", "fault");
-      metrics.crashed.inc();
-      selector.report_failure(event.client, version, FailureKind::Crash);
+      // The in-flight slot is freed at the crash instant and the refill
+      // below re-dispatches immediately.
+      ledger.settle_failure(FailureKind::Crash, event.client, version, now);
     } else if (!update_is_valid(event.delta, config_.max_update_norm)) {
-      rejected_since.push_back(event.client);
-      obs::instant("update_rejected", "fault");
-      metrics.rejected.inc();
-      selector.report_failure(event.client, version,
-                              FailureKind::CorruptUpdate);
+      ledger.settle_failure(FailureKind::CorruptUpdate, event.client, version,
+                            now);
     } else {
-      ++arrived_since;
-      view[event.client].last_loss = event.loss;
-      selector.report_result(event.client, event.loss, version);
+      ledger.settle_success(event.client, event.loss, version, now);
       buffer.push_back(std::move(event));
     }
 
     if (buffer.size() >= config_.buffer_size) {
-      // Staleness-weighted buffered aggregation.
-      obs::Span aggregate_span("aggregate", "fl");
-      obs::StopWatch aggregate_clock;
-      std::vector<double> accumulated(global_params.size(), 0.0);
-      double total_weight = 0.0;
-      RoundRecord record;
-      for (const auto& update : buffer) {
-        const double staleness =
-            static_cast<double>(version - update.base_version);
-        metrics.staleness.observe(staleness);
-        const double weight =
-            static_cast<double>(dataset_.clients[update.client].train.size()) /
-            std::pow(1.0 + staleness, config_.staleness_alpha);
-        vec::accumulate_scaled(accumulated, update.delta, weight);
-        total_weight += weight;
-        record.selected.push_back(update.client);
-      }
-      buffer.clear();
-      for (std::size_t p = 0; p < global_params.size(); ++p) {
-        global_params[p] += static_cast<float>(
-            config_.server_lr * accumulated[p] / total_weight);
+      const std::size_t frames = ledger.frames;
+      RoundRecord record = ledger.take();
+      {
+        // Staleness-weighted buffered aggregation.
+        obs::Span aggregate_span("aggregate", "fl");
+        obs::StopWatch aggregate_clock;
+        std::vector<double> accumulated(global_params.size(), 0.0);
+        double total_weight = 0.0;
+        for (const auto& update : buffer) {
+          const double staleness =
+              static_cast<double>(version - update.base_version);
+          metrics.staleness.observe(staleness);
+          const double weight =
+              population_.weight(update.client) /
+              std::pow(1.0 + staleness, config_.staleness_alpha);
+          vec::accumulate_scaled(accumulated, update.delta, weight);
+          total_weight += weight;
+        }
+        buffer.clear();
+        for (std::size_t p = 0; p < global_params.size(); ++p) {
+          global_params[p] += static_cast<float>(
+              config_.server_lr * accumulated[p] / total_weight);
+        }
+        record.phase.aggregate_ms = aggregate_clock.lap_ms();
       }
       ++version;
       record.phase.train_ms = train_wall_ms;
       train_wall_ms = 0.0;
-      record.phase.aggregate_ms = aggregate_clock.lap_ms();
-
       record.epoch = version - 1;
       record.sim_time_s = now;
       record.round_duration_s = now - last_aggregation_time;
       last_aggregation_time = now;
-      record.dispatched = arrived_since + crashed_since.size() +
-                          rejected_since.size();
-      record.crashed = std::move(crashed_since);
-      record.rejected = std::move(rejected_since);
-      crashed_since.clear();
-      rejected_since.clear();
-      arrived_since = 0;
+      record.dispatched = frames + record.crashed.size();
 
-      const bool eval_now = (version - 1) % config_.eval_every == 0 ||
-                            version == config_.aggregations;
-      if (eval_now) {
+      if ((version - 1) % config_.eval_every == 0 ||
+          version == config_.aggregations) {
         obs::Span eval_span("evaluate", "fl");
         obs::StopWatch eval_clock;
         model.set_parameters(global_params);
-        double acc = 0.0, loss = 0.0;
-        for (const auto& client : dataset_.clients) {
-          const auto r = evaluate(model, client.test);
-          acc += r.accuracy;
-          loss += r.loss;
-        }
-        last_accuracy = acc / static_cast<double>(n);
-        last_loss = loss / static_cast<double>(n);
+        const EvalResult eval = population_.evaluate(model);
+        last_accuracy = eval.accuracy;
+        last_loss = eval.loss;
         record.phase.evaluate_ms = eval_clock.lap_ms();
         metrics.evaluations.inc();
       }
       record.global_accuracy = last_accuracy;
       record.global_loss = last_loss;
       metrics.rounds.inc();
-      if (obs::events_enabled()) {
-        obs::RunEventLog::global().emit(round_event_json("async", record));
-      }
+      publish_round_event("async", record);
       history.add(std::move(record));
     }
 
-    // Refill freed capacity.
-    std::size_t active = 0;
-    for (bool f : in_flight) {
-      if (f) ++active;
-    }
-    while (active + buffer.size() < config_.max_in_flight) {
-      if (!dispatch_one()) break;
-      ++active;
+    // Refill freed capacity; after the final aggregation a dispatched
+    // client would train for nothing.
+    while (version < config_.aggregations &&
+           active + buffer.size() < config_.max_in_flight && dispatch_one()) {
     }
   }
 

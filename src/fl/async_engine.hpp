@@ -26,11 +26,11 @@
 #include "src/data/partition.hpp"
 #include "src/fl/client.hpp"
 #include "src/fl/history.hpp"
+#include "src/fl/round_core.hpp"
 #include "src/fl/selector.hpp"
 #include "src/sim/dropout.hpp"
 #include "src/sim/faults.hpp"
 #include "src/sim/latency.hpp"
-#include "src/sim/profile.hpp"
 
 namespace haccs::fl {
 
@@ -75,20 +75,17 @@ class AsyncFederatedTrainer {
                       const sim::DropoutSchedule& dropout);
   TrainingHistory run(ClientSelector& selector);
 
-  const std::vector<sim::DeviceProfile>& profiles() const { return profiles_; }
-  double client_latency(std::size_t i) const;
+  const Population& population() const { return population_; }
 
   const std::vector<float>& final_parameters() const {
     return final_parameters_;
   }
 
  private:
-  const data::FederatedDataset& dataset_;
   std::function<nn::Sequential()> model_factory_;
   AsyncEngineConfig config_;
-  sim::LatencyModel latency_model_;
+  Population population_;
   sim::FaultModel fault_model_;
-  std::vector<sim::DeviceProfile> profiles_;
   std::vector<float> final_parameters_;
 };
 

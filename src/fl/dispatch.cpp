@@ -1,10 +1,10 @@
 #include "src/fl/dispatch.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "src/common/threadpool.hpp"
-#include "src/fl/engine.hpp"
 #include "src/fl/fedprox.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
@@ -58,17 +58,28 @@ TrainOutcome run_local_job(const TrainJobSpec& job,
   return out;
 }
 
-bool fold_into_partial(PartialAggregate& agg, std::span<const float> updated,
-                       std::span<const float> global_params, double weight,
-                       double max_update_norm) {
+bool update_is_valid(std::span<const float> delta, double max_norm) {
+  double norm_sq = 0.0;
+  for (float v : delta) {
+    if (!std::isfinite(v)) return false;
+    norm_sq += static_cast<double>(v) * static_cast<double>(v);
+  }
+  if (!std::isfinite(norm_sq)) return false;
+  return max_norm <= 0.0 || norm_sq <= max_norm * max_norm;
+}
+
+std::optional<std::vector<float>> fold_into_partial(
+    PartialAggregate& agg, std::span<const float> updated,
+    std::span<const float> global_params, double weight,
+    double max_update_norm) {
   std::vector<float> delta(updated.size());
   vec::diff(delta, updated, global_params);
-  if (!update_is_valid(delta, max_update_norm)) return false;
+  if (!update_is_valid(delta, max_update_norm)) return std::nullopt;
   if (agg.sum.empty()) agg.sum.assign(global_params.size(), 0.0);
   vec::accumulate_scaled(agg.sum, updated, weight);
   agg.weight += weight;
   ++agg.updates;
-  return true;
+  return delta;
 }
 
 InProcessDispatcher::InProcessDispatcher(

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -74,14 +75,19 @@ struct PartialAggregate {
   std::size_t updates = 0;
 };
 
-/// Folds one reconstructed update into `agg` with the engine's exact
-/// aggregation arithmetic (diff → norm validation → accumulate_scaled).
-/// Returns false when the delta fails `update_is_valid(max_update_norm)`
-/// — the caller maps that onto the same rejected-update accounting the
-/// engine's own validation uses. `agg.sum` is lazily sized on first fold.
-bool fold_into_partial(PartialAggregate& agg, std::span<const float> updated,
-                       std::span<const float> global_params, double weight,
-                       double max_update_norm);
+/// Server-side update validation: true when every element of `delta` is
+/// finite and (when max_norm > 0) its L2 norm is within max_norm, so a
+/// corrupted or diverged client cannot poison the global model.
+bool update_is_valid(std::span<const float> delta, double max_norm);
+
+/// The one FedAvg fold (engine, grouped TransportDispatcher, mid tier):
+/// diff → update_is_valid → accumulate_scaled into `agg`, lazily sized.
+/// Returns the delta (for ClientSelector::report_update), or nullopt when
+/// validation fails and the caller settles a CorruptUpdate.
+std::optional<std::vector<float>> fold_into_partial(
+    PartialAggregate& agg, std::span<const float> updated,
+    std::span<const float> global_params, double weight,
+    double max_update_norm);
 
 /// Executes one round's jobs. `outcomes` is pre-sized to the round's
 /// dispatch count; implementations fill outcomes[job.slot] for every job

@@ -6,62 +6,33 @@
 #include <unordered_set>
 
 #include "src/common/error.hpp"
-#include "src/common/threadpool.hpp"
 #include "src/common/logging.hpp"
 #include "src/fl/protocol.hpp"
-#include "src/obs/events.hpp"
-#include "src/obs/flight.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/trace.hpp"
 #include "src/tensor/vecops.hpp"
 
 namespace haccs::fl {
 
-namespace {
-/// Engine telemetry instruments, registered once and shared by both engines
-/// (one process-global registry; snapshots aggregate across runs).
-struct EngineMetrics {
-  obs::Counter& rounds = obs::Registry::global().counter("rounds_total");
-  obs::Counter& dispatched =
-      obs::Registry::global().counter("clients_dispatched_total");
-  obs::Counter& crashed =
-      obs::Registry::global().counter("clients_crashed_total");
-  obs::Counter& late = obs::Registry::global().counter("clients_late_total");
-  obs::Counter& rejected =
-      obs::Registry::global().counter("updates_rejected_total");
-  obs::Counter& evaluations =
-      obs::Registry::global().counter("evaluations_total");
-  obs::Histogram& train_ms =
-      obs::Registry::global().histogram("local_train_wall_ms");
-  obs::Histogram& round_ms =
-      obs::Registry::global().histogram("round_wall_ms");
-
-  static EngineMetrics& get() {
-    static EngineMetrics metrics;
-    return metrics;
-  }
-};
-}  // namespace
+LocalWorkConfig local_work(const EngineConfig& config) {
+  return {.local = config.local,
+          .fedprox = config.algorithm == LocalAlgorithm::FedProx,
+          .fedprox_mu = config.fedprox_mu,
+          .compression = config.compression};
+}
 
 FederatedTrainer::FederatedTrainer(const data::FederatedDataset& dataset,
                                    std::function<nn::Sequential()> model_factory,
                                    EngineConfig config)
-    : dataset_(dataset),
-      model_factory_(std::move(model_factory)),
-      config_(config),
-      latency_model_(config.latency),
-      fault_model_(config.faults) {
-  if (dataset_.clients.empty()) {
-    throw std::invalid_argument("FederatedTrainer: no clients");
-  }
+    : model_factory_(std::move(model_factory)),
+      config_(std::move(config)),
+      population_("FederatedTrainer", dataset, model_factory_, config_,
+                  config_.compression),
+      fault_model_(config_.faults) {
   if (config_.clients_per_round == 0 ||
-      config_.clients_per_round > dataset_.clients.size()) {
+      config_.clients_per_round > population_.size()) {
     throw std::invalid_argument(
         "FederatedTrainer: clients_per_round out of range");
-  }
-  if (config_.eval_every == 0) {
-    throw std::invalid_argument("FederatedTrainer: eval_every must be > 0");
   }
   if (config_.overcommit < 0.0) {
     throw std::invalid_argument("FederatedTrainer: overcommit must be >= 0");
@@ -70,181 +41,87 @@ FederatedTrainer::FederatedTrainer(const data::FederatedDataset& dataset,
     throw std::invalid_argument(
         "FederatedTrainer: deadline_quantile must be in [0, 1]");
   }
-  if (config_.max_update_norm < 0.0) {
-    throw std::invalid_argument(
-        "FederatedTrainer: max_update_norm must be >= 0");
-  }
-  // Device profiles: one stream derived from the seed, independent of the
-  // training stream so that adding rounds never changes hardware assignment.
-  Rng profile_rng(config_.seed ^ 0xdeadbeefcafef00dULL);
-  profiles_.reserve(dataset_.clients.size());
-  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
-    profiles_.push_back(sim::DeviceProfile::sample(profile_rng));
-  }
-  // Uplink payload under the configured compression (the parameter count
-  // comes from one throwaway factory build).
-  const std::size_t param_count = model_factory_().parameter_count();
-  upload_bytes_ = compressed_wire_bytes(param_count, config_.compression);
 }
 
-double FederatedTrainer::client_latency(std::size_t i) const {
-  if (i >= profiles_.size()) {
-    throw std::out_of_range("client_latency: bad client id");
+/// One run(): the state its rounds share, and a round as a sequence of
+/// phases — select, plan, train, fold, evaluate, finish. Each timed phase
+/// runs under its own trace span and ends with its PhaseTimings lap, so the
+/// trace and the round record bill time identically.
+struct FederatedTrainer::Run {
+  /// The round in flight. Vectors indexed by dispatch slot.
+  struct Round {
+    std::size_t epoch = 0;
+    std::vector<std::size_t> dispatched;  ///< distinct ids, selector order
+    std::vector<sim::FaultEvent> faults;
+    std::vector<double> latency;  ///< effective: straggler excursions applied
+    double deadline = 0.0;        ///< 0 = wait for the straggler
+    std::vector<TrainJobSpec> jobs;
+    std::vector<TrainOutcome> outcomes;
+    obs::StopWatch phase_clock;
+  };
+
+  Run(FederatedTrainer& owner, ClientSelector& strategy,
+      const sim::DropoutSchedule& schedule)
+      : trainer(owner),
+        config(owner.config_),
+        population(owner.population_),
+        selector(strategy),
+        dropout(schedule),
+        in_process(population.dataset(), owner.model_factory_,
+                   local_work(config)),
+        dispatcher(config.dispatcher ? config.dispatcher : &in_process),
+        model(owner.model_factory_()),
+        global_params(model.get_parameters()),
+        view(population.make_client_view()),
+        breakers(population.size(), sim::CircuitBreaker(config.breaker)),
+        ledger(selector, view, &breakers),
+        // Separate streams: selection randomness must not perturb training
+        // randomness (and vice versa) so strategies stay comparable.
+        select_rng(config.seed ^ 0x5e1ec70aULL),
+        train_rng(config.seed ^ 0x7a314e55ULL),
+        last_loss(config.initial_loss) {
+    selector.initialize(view);
+    // Over-selection target, clamped to the population so short
+    // federations proceed with a short round instead of failing.
+    dispatch_target = config.clients_per_round;
+    if (config.overcommit > 0.0) {
+      dispatch_target = std::min<std::size_t>(
+          static_cast<std::size_t>(
+              std::ceil(static_cast<double>(config.clients_per_round) *
+                        (1.0 + config.overcommit))),
+          population.size());
+    }
   }
-  if (config_.compression.kind != CompressionKind::None) {
-    return latency_model_.round_latency_asymmetric(
-        profiles_[i], dataset_.clients[i].train.size(),
-        config_.latency.model_bytes, upload_bytes_);
-  }
-  return latency_model_.round_latency(profiles_[i],
-                                      dataset_.clients[i].train.size());
-}
 
-double FederatedTrainer::client_latency_at(std::size_t i,
-                                           std::size_t epoch) const {
-  const double base = client_latency(i);
-  if (config_.latency_jitter_sigma <= 0.0) return base;
-  // One fresh generator per (seed, epoch, client): order-independent and
-  // identical across strategies, like the dropout draws.
-  Rng rng(config_.seed ^ (0x9e3779b97f4a7c15ULL * (epoch + 1)) ^
-          (0xc2b2ae3d27d4eb4fULL * (i + 1)));
-  return base * std::exp(config_.latency_jitter_sigma * rng.normal());
-}
-
-std::vector<ClientRuntimeInfo> FederatedTrainer::make_client_view() const {
-  std::vector<ClientRuntimeInfo> view;
-  view.reserve(dataset_.clients.size());
-  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
-    ClientRuntimeInfo info;
-    info.id = i;
-    info.latency_s = client_latency(i);
-    info.num_samples = dataset_.clients[i].train.size();
-    info.last_loss = config_.initial_loss;
-    info.available = true;
-    view.push_back(info);
-  }
-  return view;
-}
-
-FederatedTrainer::GlobalEval FederatedTrainer::evaluate_global(
-    nn::Sequential& model, std::vector<double>* per_client) const {
-  GlobalEval eval;
-  if (per_client) per_client->assign(dataset_.clients.size(), 0.0);
-  // "The overall accuracy is the average test accuracy on all devices" —
-  // every device counts equally, including those currently unavailable.
-  // Per-device evaluations are independent and run through the const
-  // inference path in parallel; the reduction below is serial in client
-  // order, so the totals do not depend on worker timing.
-  std::vector<EvalResult> results(dataset_.clients.size());
-  parallel_for(0, dataset_.clients.size(), [&](std::size_t i) {
-    results[i] = evaluate(model, dataset_.clients[i].test);
-  });
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    eval.accuracy += results[i].accuracy;
-    eval.loss += results[i].loss;
-    if (per_client) (*per_client)[i] = results[i].accuracy;
-  }
-  const auto n = static_cast<double>(dataset_.clients.size());
-  eval.accuracy /= n;
-  eval.loss /= n;
-  return eval;
-}
-
-TrainingHistory FederatedTrainer::run(ClientSelector& selector) {
-  const auto schedule = sim::make_always_available(dataset_.clients.size());
-  return run(selector, *schedule);
-}
-
-TrainingHistory FederatedTrainer::run(ClientSelector& selector,
-                                      const sim::DropoutSchedule& dropout) {
-  return run(selector, dropout, nullptr);
-}
-
-TrainingHistory FederatedTrainer::run(ClientSelector& selector,
-                                      const sim::DropoutSchedule& dropout,
-                                      const RunState* resume) {
-  if (dropout.num_clients() != dataset_.clients.size()) {
-    throw std::invalid_argument("run: dropout schedule arity mismatch");
-  }
-  nn::Sequential model = model_factory_();
-  std::vector<float> global_params = model.get_parameters();
-
-  auto view = make_client_view();
-  selector.initialize(view);
-
-  // Where this run's local training executes. The default in-process
-  // dispatcher is created per run (its compression residuals start clean,
-  // like the engine's old per-run residual table).
-  LocalWorkConfig work;
-  work.local = config_.local;
-  work.fedprox = config_.algorithm == LocalAlgorithm::FedProx;
-  work.fedprox_mu = config_.fedprox_mu;
-  work.compression = config_.compression;
-  InProcessDispatcher default_dispatcher(dataset_, model_factory_, work);
-  RoundDispatcher* dispatcher =
-      config_.dispatcher ? config_.dispatcher : &default_dispatcher;
-
-  // Separate streams: selection randomness must not perturb training
-  // randomness (and vice versa) so strategies stay comparable.
-  Rng select_rng(config_.seed ^ 0x5e1ec70aULL);
-  Rng train_rng(config_.seed ^ 0x7a314e55ULL);
-
-  TrainingHistory history;
-  sim::SimClock clock;
-  double last_accuracy = 0.0;
-  double last_loss = config_.initial_loss;
-
-  // Over-selection target: how many clients each round dispatches. Clamped
-  // to the population so short federations proceed with a short round
-  // instead of failing.
-  std::size_t dispatch_target = config_.clients_per_round;
-  if (config_.overcommit > 0.0) {
-    dispatch_target = std::min<std::size_t>(
-        static_cast<std::size_t>(
-            std::ceil(static_cast<double>(config_.clients_per_round) *
-                      (1.0 + config_.overcommit))),
-        dataset_.clients.size());
-  }
-  const bool faults_on = fault_model_.enabled();
-  std::vector<sim::CircuitBreaker> breakers(
-      dataset_.clients.size(), sim::CircuitBreaker(config_.breaker));
-
-  EngineMetrics& metrics = EngineMetrics::get();
-
-  // Crash-resume: restore everything the loop below accumulates, so the
-  // remaining epochs replay bit-identically to an uninterrupted run.
-  std::size_t start_epoch = 0;
-  if (resume != nullptr) {
-    if (resume->client_last_loss.size() != dataset_.clients.size() ||
-        resume->breakers.size() != dataset_.clients.size()) {
+  std::size_t restore(const RunState& resume) {
+    if (resume.client_last_loss.size() != population.size() ||
+        resume.breakers.size() != population.size()) {
       throw std::invalid_argument("run: checkpoint population mismatch");
     }
-    if (resume->global_params.size() != global_params.size()) {
+    if (resume.global_params.size() != global_params.size()) {
       throw std::invalid_argument("run: checkpoint model-shape mismatch");
     }
-    if (resume->next_epoch > config_.rounds) {
+    if (resume.next_epoch > config.rounds) {
       throw std::invalid_argument("run: checkpoint beyond configured rounds");
     }
-    start_epoch = resume->next_epoch;
-    global_params = resume->global_params;
-    select_rng.set_state(resume->select_rng);
-    train_rng.set_state(resume->train_rng);
-    clock.set_now(resume->sim_time_s);
-    last_accuracy = resume->last_accuracy;
-    last_loss = resume->last_loss;
-    for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
-      view[i].last_loss = resume->client_last_loss[i];
-      breakers[i].restore(resume->breakers[i]);
+    global_params = resume.global_params;
+    select_rng.set_state(resume.select_rng);
+    train_rng.set_state(resume.train_rng);
+    clock.set_now(resume.sim_time_s);
+    last_accuracy = resume.last_accuracy;
+    last_loss = resume.last_loss;
+    for (std::size_t i = 0; i < population.size(); ++i) {
+      view[i].last_loss = resume.client_last_loss[i];
+      breakers[i].restore(resume.breakers[i]);
     }
-    if (!resume->selector_state.empty()) {
-      selector.load_state(resume->selector_state);
+    if (!resume.selector_state.empty()) {
+      selector.load_state(resume.selector_state);
     }
-    for (const RoundRecord& rec : resume->records) history.add(rec);
+    for (const RoundRecord& rec : resume.records) history.add(rec);
+    return resume.next_epoch;
   }
 
-  // Snapshot of the loop state after the round that just completed —
-  // materialized only when an on_checkpoint hook asks for it.
-  auto make_run_state = [&](std::size_t next_epoch) {
+  RunState snapshot(std::size_t next_epoch) const {
     RunState state;
     state.next_epoch = next_epoch;
     state.sim_time_s = clock.now();
@@ -263,13 +140,9 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
     state.records = history.records();
     for (RoundRecord& rec : state.records) rec.phase = PhaseTimings{};
     return state;
-  };
+  }
 
-  for (std::size_t epoch = start_epoch; epoch < config_.rounds; ++epoch) {
-    if (config_.stop_requested && config_.stop_requested()) {
-      HACCS_INFO << "engine: stop requested, draining after epoch " << epoch;
-      break;
-    }
+  void round(std::size_t epoch) {
     obs::Span round_span("round", "fl");
     // Publish this round's context (§5i) so the transport dispatcher can
     // stamp outgoing TrainJobs and workers can parent their local_train
@@ -278,325 +151,286 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
       obs::set_round_context({obs::process_trace_id(), round_span.id(),
                               static_cast<std::int64_t>(epoch)});
     }
-    obs::StopWatch phase_clock;   // lap per phase -> RoundRecord::phase
-    obs::StopWatch round_clock;   // whole-round wall time
-    PhaseTimings phase;
+    obs::StopWatch round_clock;
+    if (config.on_epoch_begin) config.on_epoch_begin(epoch);
+    Round r;
+    r.epoch = epoch;
+    PhaseTimings& lap = ledger.record.phase;
+    phase(r, "selection", lap.selection_ms, &Run::select);
+    phase(r, "plan", lap.dispatch_ms, &Run::plan);
+    phase(r, "local_train_round", lap.train_ms, &Run::train);
+    phase(r, "aggregate", lap.aggregate_ms, &Run::fold);
+    if (epoch % config.eval_every == 0 || epoch + 1 == config.rounds) {
+      phase(r, "evaluate", lap.evaluate_ms, &Run::evaluate);
+    }
+    finish(r, round_clock.lap_ms());
+  }
 
-    if (config_.on_epoch_begin) config_.on_epoch_begin(epoch);
-    std::vector<std::size_t> dispatched;
+  void phase(Round& r, const char* span, double& lap_ms,
+             void (Run::*body)(Round&)) {
     {
-      obs::Span span("selection", "fl");
-      const auto mask = dropout.available(epoch);
-      for (std::size_t i = 0; i < view.size(); ++i) {
-        // Quarantined clients (tripped breaker) are masked like dropouts.
-        view[i].available = mask[i] && breakers[i].allows(epoch);
-        view[i].latency_s = client_latency_at(i, epoch);
-      }
-
-      auto selected =
-          selector.select(dispatch_target, view, epoch, select_rng);
-
-      // Engine-enforced invariants: distinct, in-range, available.
-      std::unordered_set<std::size_t> seen;
-      for (std::size_t id : selected) {
-        HACCS_CHECK_MSG(id < view.size(), "selector returned bad client id");
-        HACCS_CHECK_MSG(view[id].available,
-                        "selector returned unavailable client");
-        if (seen.insert(id).second) dispatched.push_back(id);
-      }
-      HACCS_CHECK_MSG(dispatched.size() <= dispatch_target,
-                      "selector returned too many clients");
+      obs::Span phase_span(span, "fl");
+      (this->*body)(r);
     }
-    phase.selection_ms = phase_clock.lap_ms();
+    lap_ms = r.phase_clock.lap_ms();
+  }
 
-    // Post-dispatch fault trace for this round: effective latency (straggler
-    // excursions applied) and the fate of each dispatched client.
-    enum class Fate { Pending, Crashed, Late };
-    const std::size_t n_dispatched = dispatched.size();
-    std::vector<sim::FaultEvent> faults(n_dispatched);
-    std::vector<double> eff_latency(n_dispatched);
-    std::vector<Fate> fate(n_dispatched, Fate::Pending);
-    for (std::size_t i = 0; i < n_dispatched; ++i) {
-      eff_latency[i] = view[dispatched[i]].latency_s;
-      if (faults_on) {
-        faults[i] = fault_model_.at(dispatched[i], epoch);
-        if (faults[i].kind == sim::FaultKind::Straggler) {
-          eff_latency[i] *= faults[i].latency_multiplier;
+  void select(Round& r) {
+    const auto mask = dropout.available(r.epoch);
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      // Quarantined clients (tripped breaker) are masked like dropouts.
+      view[i].available = mask[i] && breakers[i].allows(r.epoch);
+      view[i].latency_s = population.client_latency_at(i, r.epoch);
+    }
+    const auto selected =
+        selector.select(dispatch_target, view, r.epoch, select_rng);
+    // Engine-enforced invariants: distinct, in-range, available.
+    std::unordered_set<std::size_t> seen;
+    for (std::size_t id : selected) {
+      HACCS_CHECK_MSG(id < view.size(), "selector returned bad client id");
+      HACCS_CHECK_MSG(view[id].available,
+                      "selector returned unavailable client");
+      if (seen.insert(id).second) r.dispatched.push_back(id);
+    }
+    HACCS_CHECK_MSG(r.dispatched.size() <= dispatch_target,
+                    "selector returned too many clients");
+  }
+
+  void plan(Round& r) {
+    // Post-dispatch fault trace: each dispatched client's effective latency
+    // and fate.
+    const std::size_t n = r.dispatched.size();
+    r.faults.resize(n);
+    r.latency.resize(n);
+    r.outcomes.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      r.latency[i] = view[r.dispatched[i]].latency_s;
+      if (trainer.fault_model_.enabled()) {
+        r.faults[i] = trainer.fault_model_.at(r.dispatched[i], r.epoch);
+        if (r.faults[i].kind == sim::FaultKind::Straggler) {
+          r.latency[i] *= r.faults[i].latency_multiplier;
         }
       }
     }
-    // Deadline: the configured quantile of this round's dispatched effective
-    // latencies. The server stops waiting there; later arrivals are wasted.
-    double deadline = 0.0;
-    if (config_.deadline_quantile > 0.0 && n_dispatched > 0) {
-      std::vector<double> sorted(eff_latency);
+    // Deadline: the configured quantile of this round's effective latencies.
+    // The server stops waiting there; later arrivals are wasted.
+    if (config.deadline_quantile > 0.0 && n > 0) {
+      std::vector<double> sorted(r.latency);
       std::sort(sorted.begin(), sorted.end());
-      const auto idx = static_cast<std::size_t>(
-          config_.deadline_quantile * static_cast<double>(sorted.size() - 1));
-      deadline = sorted[idx];
+      r.deadline = sorted[static_cast<std::size_t>(
+          config.deadline_quantile * static_cast<double>(n - 1))];
     }
-    for (std::size_t i = 0; i < n_dispatched; ++i) {
-      if (faults[i].kind == sim::FaultKind::Crash) {
-        fate[i] = Fate::Crashed;
-      } else if (deadline > 0.0 && eff_latency[i] > deadline) {
-        fate[i] = Fate::Late;
+    // Fork the per-client training streams serially (deterministic order).
+    // Crashed and late clients never deliver, so they get no job — their
+    // outcome is settled now — but their fork is still consumed, keeping the
+    // streams aligned across fault configurations.
+    double min_latency = n > 0 ? view[r.dispatched.front()].latency_s : 0.0;
+    for (std::size_t id : r.dispatched) {
+      min_latency = std::min(min_latency, view[id].latency_s);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t job_seed = train_rng.next_u64();
+      if (r.faults[i].kind == sim::FaultKind::Crash) {
+        r.outcomes[i].failure = FailureKind::Crash;
+        continue;
+      }
+      if (r.deadline > 0.0 && r.latency[i] > r.deadline) {
+        r.outcomes[i].failure = FailureKind::Timeout;
+        continue;
+      }
+      const std::size_t id = r.dispatched[i];
+      TrainJobSpec job{
+          .slot = i, .client_id = id, .epoch = r.epoch, .rng_seed = job_seed};
+      if (config.algorithm == LocalAlgorithm::FedProx) {
+        // The fastest dispatched base latency anchors FedProx work scaling
+        // (straggler excursions are unforeseen).
+        job.work_fraction = fedprox_work_fraction(
+            view[id].latency_s / std::max(min_latency, 1e-9),
+            config.fedprox_min_work);
+      }
+      r.jobs.push_back(job);
+    }
+    metrics.dispatched.inc(n);
+    ledger.record.dispatched = n;
+    ledger.record.deadline_s = r.deadline;
+  }
+
+  void train(Round& r) {
+    // Thread pool, loopback workers or TCP peers — all compute the same
+    // update for the same job.
+    if (r.dispatched.empty()) return;
+    dispatcher->execute(r.jobs, global_params, r.outcomes);
+  }
+
+  void fold(Round& r) {
+    // FedAvg: weighted average of the accepted updates, folded in dispatch
+    // order so the result is independent of worker timing.
+    PartialAggregate folded;
+    double pre_aggregated_weight = 0.0;
+    for (std::size_t i = 0; i < r.dispatched.size(); ++i) {
+      const std::size_t id = r.dispatched[i];
+      TrainOutcome& out = r.outcomes[i];
+      if (!out.delivered) {
+        // Simulated and transport failures settle alike. A timeout is seen
+        // at the deadline, anything else when it happens (part-way through
+        // a simulated crash), capped at the deadline.
+        double t = r.latency[i];
+        if (r.faults[i].kind == sim::FaultKind::Crash) {
+          t *= r.faults[i].crash_frac;
+        }
+        if (r.deadline > 0.0) {
+          t = out.failure == FailureKind::Timeout ? r.deadline
+                                                  : std::min(t, r.deadline);
+        }
+        ledger.settle_failure(out.failure, id, r.epoch, t);
+        continue;
+      }
+      const double weight = population.weight(id);
+      const double loss = out.result.average_loss;
+      if (out.pre_aggregated) {
+        // Already folded into the dispatcher's partial sums (§5j) by the
+        // same fold_into_partial; the engine prices the weight from its own
+        // dataset so the partials can be cross-checked.
+        pre_aggregated_weight += weight;
+        ledger.settle_success(id, loss, r.epoch, r.latency[i]);
+        continue;
+      }
+      if (r.faults[i].kind == sim::FaultKind::Corruption) {
+        // Wire-level corruption of the delta the server receives (client
+        // state, e.g. compression residuals, stays clean).
+        std::vector<float> corrupted(out.updated.size());
+        vec::diff(corrupted, out.updated, global_params);
+        trainer.fault_model_.corrupt(r.faults[i], corrupted);
+        for (std::size_t p = 0; p < out.updated.size(); ++p) {
+          out.updated[p] = global_params[p] + corrupted[p];
+        }
+      }
+      const auto delta = fold_into_partial(folded, out.updated, global_params,
+                                           weight, config.max_update_norm);
+      if (!delta) {
+        ledger.settle_failure(FailureKind::CorruptUpdate, id, r.epoch,
+                              r.latency[i]);
+        continue;
+      }
+      ledger.settle_success(id, loss, r.epoch, r.latency[i]);
+      selector.report_update(id, *delta, r.epoch);
+    }
+    if (folded.sum.empty()) folded.sum.assign(global_params.size(), 0.0);
+    const std::vector<PartialAggregate>* parts =
+        r.dispatched.empty() ? nullptr : dispatcher->partials();
+    if (parts) {
+      // Grouped / hierarchical aggregation: merge the per-group sums in group
+      // order — per element the identical f64 add sequence whichever tier
+      // folded the groups, so tree and flat grouped runs converge bitwise.
+      double partial_weight = 0.0;
+      for (const PartialAggregate& part : *parts) {
+        partial_weight += part.weight;
+        if (part.sum.empty()) continue;
+        HACCS_CHECK_MSG(part.sum.size() == folded.sum.size(),
+                        "partial aggregate has wrong parameter count");
+        for (std::size_t p = 0; p < folded.sum.size(); ++p) {
+          folded.sum[p] += part.sum[p];
+        }
+      }
+      // Integer sample-count weights sum exactly in f64, so any mismatch is a
+      // real bookkeeping bug, not rounding.
+      HACCS_CHECK_MSG(partial_weight == pre_aggregated_weight,
+                      "partial aggregate weights disagree with the engine");
+    }
+    const double total_weight = folded.weight + pre_aggregated_weight;
+    if (total_weight > 0.0) {
+      for (std::size_t p = 0; p < global_params.size(); ++p) {
+        global_params[p] = static_cast<float>(folded.sum[p] / total_weight);
       }
     }
-    phase.dispatch_ms = phase_clock.lap_ms();
-    metrics.dispatched.inc(n_dispatched);
-
-    RoundRecord record;
-    record.epoch = epoch;
-    record.dispatched = n_dispatched;
-    record.deadline_s = deadline;
-
-    std::vector<double> observed_times;  // what the server waits for
-    if (n_dispatched > 0) {
-      // Fastest dispatched latency anchors FedProx work scaling (planned
-      // work uses base latencies — straggler excursions are unforeseen).
-      double min_latency = view[dispatched.front()].latency_s;
-      for (std::size_t id : dispatched) {
-        min_latency = std::min(min_latency, view[id].latency_s);
-      }
-      // Fork the per-client training streams serially (deterministic order).
-      // Crashed and late clients never deliver an update, so they get no job
-      // (their fork is still consumed, keeping the streams aligned across
-      // fault configurations); the rest go to the dispatcher — thread pool,
-      // loopback workers, or TCP peers, all computing the same update.
-      std::vector<TrainJobSpec> jobs;
-      jobs.reserve(n_dispatched);
-      for (std::size_t i = 0; i < n_dispatched; ++i) {
-        const std::uint64_t job_seed = train_rng.next_u64();
-        if (fate[i] != Fate::Pending) continue;
-        const std::size_t id = dispatched[i];
-        TrainJobSpec job;
-        job.slot = i;
-        job.client_id = id;
-        job.epoch = epoch;
-        job.rng_seed = job_seed;
-        if (config_.algorithm == LocalAlgorithm::FedProx) {
-          job.work_fraction = fedprox_work_fraction(
-              view[id].latency_s / std::max(min_latency, 1e-9),
-              config_.fedprox_min_work);
-        }
-        jobs.push_back(job);
-      }
-      std::vector<TrainOutcome> outcomes(n_dispatched);
-      obs::Span train_span("local_train_round", "fl");
-      dispatcher->execute(jobs, global_params, outcomes);
-      phase.train_ms = phase_clock.lap_ms();
-
-      // FedAvg: weighted average of the accepted updates, accumulated in
-      // dispatch order so the result is independent of worker timing.
-      // Crashed, late, and validation-rejected clients are wasted work.
-      obs::Span aggregate_span("aggregate", "fl");
-      std::vector<double> accumulated(global_params.size(), 0.0);
-      double total_weight = 0.0;
-      std::size_t arrived_updates = 0;  // frames received (incl. corrupt)
-      for (std::size_t i = 0; i < n_dispatched; ++i) {
-        const std::size_t id = dispatched[i];
-        if (fate[i] == Fate::Crashed) {
-          // Failure surfaces when the connection drops, mid-round.
-          double observed = faults[i].crash_frac * eff_latency[i];
-          if (deadline > 0.0) observed = std::min(observed, deadline);
-          observed_times.push_back(observed);
-          record.crashed.push_back(id);
-          obs::instant("client_crash", "fault");
-          metrics.crashed.inc();
-          breakers[id].record_failure(epoch);
-          selector.report_failure(id, epoch, FailureKind::Crash);
-          continue;
-        }
-        if (fate[i] == Fate::Late) {
-          // The server waits until the deadline, then gives up on it.
-          observed_times.push_back(deadline);
-          record.late.push_back(id);
-          obs::instant("client_late", "fault");
-          metrics.late.inc();
-          selector.report_failure(id, epoch, FailureKind::Timeout);
-          continue;
-        }
-        TrainOutcome& outcome = outcomes[i];
-        if (!outcome.delivered) {
-          // Transport-level failure (never on the in-process path): map it
-          // onto the same accounting the simulated faults use, so selectors
-          // cannot tell real wire damage from injected faults.
-          switch (outcome.failure) {
-            case FailureKind::Timeout:
-              observed_times.push_back(deadline > 0.0 ? deadline
-                                                      : eff_latency[i]);
-              record.late.push_back(id);
-              obs::instant("client_late", "fault");
-              metrics.late.inc();
-              selector.report_failure(id, epoch, FailureKind::Timeout);
-              break;
-            case FailureKind::CorruptUpdate:
-              // A frame arrived (it counts as uplink) but its payload died.
-              ++arrived_updates;
-              observed_times.push_back(eff_latency[i]);
-              record.rejected.push_back(id);
-              obs::instant("update_rejected", "fault");
-              metrics.rejected.inc();
-              breakers[id].record_failure(epoch);
-              selector.report_failure(id, epoch, FailureKind::CorruptUpdate);
-              break;
-            case FailureKind::Crash: {
-              double observed = eff_latency[i];
-              if (deadline > 0.0) observed = std::min(observed, deadline);
-              observed_times.push_back(observed);
-              record.crashed.push_back(id);
-              obs::instant("client_crash", "fault");
-              metrics.crashed.inc();
-              breakers[id].record_failure(epoch);
-              selector.report_failure(id, epoch, FailureKind::Crash);
-              break;
-            }
-          }
-          continue;
-        }
-        ++arrived_updates;
-        if (outcome.pre_aggregated) {
-          // Already folded into the dispatcher's partial sums (§5j) with
-          // the engine's exact diff/validate/accumulate arithmetic — only
-          // the per-slot bookkeeping remains here. The weighted sums merge
-          // after this loop; total_weight still prices from the engine's
-          // own dataset so the partials' weights can be cross-checked.
-          observed_times.push_back(eff_latency[i]);
-          const auto weight =
-              static_cast<double>(dataset_.clients[id].train.size());
-          total_weight += weight;
-          view[id].last_loss = outcome.result.average_loss;
-          breakers[id].record_success();
-          selector.report_result(id, outcome.result.average_loss, epoch);
-          record.selected.push_back(id);
-          continue;
-        }
-        std::vector<float> updated = std::move(outcome.updated);
-        if (faults[i].kind == sim::FaultKind::Corruption) {
-          // Wire-level corruption: mangle the delta the server receives
-          // (client-side state, e.g. compression residuals, stays clean).
-          // Applied post-receipt — the same pure function of the fault
-          // event and delta the old in-lambda path computed.
-          std::vector<float> corrupted(updated.size());
-          vec::diff(corrupted, updated, global_params);
-          fault_model_.corrupt(faults[i], corrupted);
-          for (std::size_t p = 0; p < updated.size(); ++p) {
-            updated[p] = global_params[p] + corrupted[p];
-          }
-        }
-        // Parameter delta: input to validation and gradient-direction
-        // schedulers alike.
-        std::vector<float> delta(updated.size());
-        vec::diff(delta, updated, global_params);
-        observed_times.push_back(eff_latency[i]);
-        if (!update_is_valid(delta, config_.max_update_norm)) {
-          HACCS_DEBUG << selector.name() << " epoch " << epoch
-                      << " rejected invalid update from client " << id;
-          record.rejected.push_back(id);
-          obs::instant("update_rejected", "fault");
-          metrics.rejected.inc();
-          breakers[id].record_failure(epoch);
-          selector.report_failure(id, epoch, FailureKind::CorruptUpdate);
-          continue;
-        }
-        const auto weight =
-            static_cast<double>(dataset_.clients[id].train.size());
-        vec::accumulate_scaled(accumulated, updated, weight);
-        total_weight += weight;
-        view[id].last_loss = outcome.result.average_loss;
-        breakers[id].record_success();
-        selector.report_result(id, outcome.result.average_loss, epoch);
-        selector.report_update(id, delta, epoch);
-        record.selected.push_back(id);
-      }
-      if (const std::vector<PartialAggregate>* parts = dispatcher->partials()) {
-        // Grouped / hierarchical aggregation: merge the per-group partial
-        // sums into the accumulator in group order. Per element this is the
-        // identical f64 add sequence no matter which tier performed the
-        // group folds, so tree and flat grouped runs converge bitwise.
-        double partial_weight = 0.0;
-        for (const PartialAggregate& part : *parts) {
-          partial_weight += part.weight;
-          if (part.sum.empty()) continue;
-          HACCS_CHECK_MSG(part.sum.size() == accumulated.size(),
-                          "partial aggregate has wrong parameter count");
-          for (std::size_t p = 0; p < accumulated.size(); ++p) {
-            accumulated[p] += part.sum[p];
-          }
-        }
-        // Integer sample-count weights sum exactly in f64, so any mismatch
-        // is a real bookkeeping bug, not rounding.
-        HACCS_CHECK_MSG(partial_weight == total_weight,
-                        "partial aggregate weights disagree with the engine");
-      }
-      if (total_weight > 0.0) {
-        for (std::size_t p = 0; p < global_params.size(); ++p) {
-          global_params[p] = static_cast<float>(accumulated[p] / total_weight);
-        }
-      }
-      phase.aggregate_ms = phase_clock.lap_ms();
-      // Round byte accounting: priced from the codecs' exact frame sizes
-      // (fl/protocol.hpp), identical whether the round ran in-process or
-      // over a transport — crashed/late clients still received the model
-      // (downlink), and every arriving frame (even a corrupt one) is
-      // uplink. The obs net_bytes_* counters separately measure what a
-      // transport actually moved.
-      record.downlink_bytes =
-          n_dispatched * train_job_frame_bytes(global_params.size());
-      record.uplink_bytes =
-          arrived_updates *
-          update_frame_bytes(global_params.size(), config_.compression);
-    }
-
-    const double round_duration = clock.advance_round(observed_times);
+    // Byte accounting from the codecs' exact frame sizes (fl/protocol.hpp),
+    // identical in-process or over a transport: every dispatched client
+    // received the model, and every arriving frame (even a corrupt one) is
+    // uplink.
+    RoundRecord& record = ledger.record;
+    record.downlink_bytes = r.dispatched.size() *
+                            train_job_frame_bytes(global_params.size());
+    record.uplink_bytes =
+        ledger.frames *
+        update_frame_bytes(global_params.size(), config.compression);
+    // The simulated clock advances by what the server waited for.
+    record.round_duration_s = clock.advance_round(ledger.observed);
     record.sim_time_s = clock.now();
-    record.round_duration_s = round_duration;
+  }
 
-    const bool eval_now =
-        (epoch % config_.eval_every == 0) || (epoch + 1 == config_.rounds);
-    if (eval_now) {
-      obs::Span eval_span("evaluate", "fl");
-      model.set_parameters(global_params);
-      const bool final_round = epoch + 1 == config_.rounds;
-      const auto eval = evaluate_global(
-          model, final_round ? &final_per_client_accuracy_ : nullptr);
-      last_accuracy = eval.accuracy;
-      last_loss = eval.loss;
-      metrics.evaluations.inc();
-      phase.evaluate_ms = phase_clock.lap_ms();
-      HACCS_DEBUG << selector.name() << " epoch " << epoch << " t="
-                  << clock.now() << "s acc=" << eval.accuracy;
-    }
+  void evaluate(Round& r) {
+    model.set_parameters(global_params);
+    const bool final_round = r.epoch + 1 == config.rounds;
+    const EvalResult eval = population.evaluate(
+        model, final_round ? &trainer.final_per_client_accuracy_ : nullptr);
+    last_accuracy = eval.accuracy;
+    last_loss = eval.loss;
+    metrics.evaluations.inc();
+    HACCS_DEBUG << selector.name() << " epoch " << r.epoch << " t="
+                << clock.now() << "s acc=" << eval.accuracy;
+  }
+
+  void finish(Round& r, double round_ms) {
+    RoundRecord record = ledger.take();
+    record.epoch = r.epoch;
     record.global_accuracy = last_accuracy;
     record.global_loss = last_loss;
-    record.phase = phase;
     metrics.rounds.inc();
-    metrics.round_ms.observe(round_clock.lap_ms());
-    if (obs::events_enabled() || obs::FlightRecorder::global().enabled()) {
-      // One render feeds both sinks; either probe alone still costs one
-      // relaxed atomic on the flags-off path.
-      const std::string event = round_event_json("sync", record);
-      if (obs::events_enabled()) obs::RunEventLog::global().emit(event);
-      obs::FlightRecorder::global().record_round_event(event);
-    }
+    metrics.round_ms.observe(round_ms);
+    publish_round_event("sync", record);
     history.add(std::move(record));
-    if (config_.on_checkpoint) {
-      config_.on_checkpoint(epoch + 1, [&] { return make_run_state(epoch + 1); });
+    if (config.on_checkpoint) {
+      config.on_checkpoint(r.epoch + 1, [&] { return snapshot(r.epoch + 1); });
     }
   }
-  obs::clear_round_context();
-  final_parameters_ = std::move(global_params);
-  return history;
+
+  FederatedTrainer& trainer;
+  const EngineConfig& config;
+  const Population& population;
+  ClientSelector& selector;
+  const sim::DropoutSchedule& dropout;
+  InProcessDispatcher in_process;  // fresh per run: residuals start clean
+  RoundDispatcher* dispatcher;
+  EngineMetrics& metrics = EngineMetrics::get();
+  nn::Sequential model;
+  std::vector<float> global_params;
+  std::vector<ClientRuntimeInfo> view;
+  std::vector<sim::CircuitBreaker> breakers;
+  RoundLedger ledger;
+  Rng select_rng;
+  Rng train_rng;
+  sim::SimClock clock;
+  double last_accuracy = 0.0;
+  double last_loss;
+  std::size_t dispatch_target = 0;
+  TrainingHistory history;
+};
+
+TrainingHistory FederatedTrainer::run(ClientSelector& selector) {
+  const auto schedule = sim::make_always_available(population_.size());
+  return run(selector, *schedule);
 }
 
-bool update_is_valid(std::span<const float> delta, double max_norm) {
-  double norm_sq = 0.0;
-  for (float v : delta) {
-    if (!std::isfinite(v)) return false;
-    norm_sq += static_cast<double>(v) * static_cast<double>(v);
+TrainingHistory FederatedTrainer::run(ClientSelector& selector,
+                                      const sim::DropoutSchedule& dropout,
+                                      const RunState* resume) {
+  if (dropout.num_clients() != population_.size()) {
+    throw std::invalid_argument("run: dropout schedule arity mismatch");
   }
-  if (!std::isfinite(norm_sq)) return false;
-  return max_norm <= 0.0 || norm_sq <= max_norm * max_norm;
+  Run run(*this, selector, dropout);
+  // Crash-resume: the remaining epochs replay bit-identically to an
+  // uninterrupted run.
+  const std::size_t start_epoch = resume ? run.restore(*resume) : 0;
+  for (std::size_t epoch = start_epoch; epoch < config_.rounds; ++epoch) {
+    if (config_.stop_requested && config_.stop_requested()) {
+      HACCS_INFO << "engine: stop requested, draining after epoch " << epoch;
+      break;
+    }
+    run.round(epoch);
+  }
+  obs::clear_round_context();
+  final_parameters_ = std::move(run.global_params);
+  return std::move(run.history);
 }
 
 }  // namespace haccs::fl

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "src/data/partition.hpp"
@@ -24,11 +23,11 @@
 #include "src/fl/dispatch.hpp"
 #include "src/fl/fedprox.hpp"
 #include "src/fl/history.hpp"
+#include "src/fl/round_core.hpp"
 #include "src/fl/selector.hpp"
 #include "src/sim/dropout.hpp"
 #include "src/sim/faults.hpp"
 #include "src/sim/latency.hpp"
-#include "src/sim/profile.hpp"
 
 namespace haccs::fl {
 
@@ -114,6 +113,9 @@ struct EngineConfig {
   std::function<bool()> stop_requested;
 };
 
+/// The local-training recipe dispatchers and remote workers run.
+LocalWorkConfig local_work(const EngineConfig& config);
+
 class FederatedTrainer {
  public:
   /// `model_factory` must return an identically-initialized model on every
@@ -125,32 +127,22 @@ class FederatedTrainer {
 
   /// Runs a full training simulation with the given strategy and
   /// availability schedule. Each call starts from a fresh model and clock.
+  ///
+  /// Crash-resume: a non-null `resume` (epoch cursor, parameters, RNG
+  /// streams, clock, breaker and selector state, prior records) is restored
+  /// and only the remaining rounds run. The returned history contains ALL
+  /// rounds — restored plus newly executed — and is bit-identical to an
+  /// uninterrupted run's history modulo wall-clock phase timings. `resume`
+  /// must come from a run with the same dataset, config, and selector type.
   TrainingHistory run(ClientSelector& selector,
-                      const sim::DropoutSchedule& dropout);
+                      const sim::DropoutSchedule& dropout,
+                      const RunState* resume = nullptr);
 
   /// Convenience overload with no dropout.
   TrainingHistory run(ClientSelector& selector);
 
-  /// Crash-resume entry point: restores `resume` (epoch cursor, parameters,
-  /// RNG streams, clock, breaker and selector state, prior records) and
-  /// runs the remaining rounds. The returned history contains ALL rounds —
-  /// restored plus newly executed — and is bit-identical to an
-  /// uninterrupted run's history modulo wall-clock phase timings. `resume`
-  /// must come from a run with the same dataset, config, and selector type;
-  /// nullptr behaves exactly like the plain overload.
-  TrainingHistory run(ClientSelector& selector,
-                      const sim::DropoutSchedule& dropout,
-                      const RunState* resume);
-
-  const std::vector<sim::DeviceProfile>& profiles() const { return profiles_; }
-  const sim::LatencyModel& latency_model() const { return latency_model_; }
-
-  /// Base (expected) round latency of client i (profile + local data size).
-  double client_latency(std::size_t i) const;
-
-  /// Latency of client i in a specific epoch, including the seeded
-  /// log-normal jitter. Pure function of (config.seed, epoch, i).
-  double client_latency_at(std::size_t i, std::size_t epoch) const;
+  /// The simulated clients: device profiles, latencies, the selector view.
+  const Population& population() const { return population_; }
 
   /// Per-client test accuracy of the most recent run's final model.
   const std::vector<double>& final_per_client_accuracy() const {
@@ -164,33 +156,15 @@ class FederatedTrainer {
     return final_parameters_;
   }
 
-  /// The runtime view handed to selectors (all-available mask) — exposed so
-  /// selection strategies can be initialized/tested without a full run.
-  std::vector<ClientRuntimeInfo> make_client_view() const;
-
  private:
-  struct GlobalEval {
-    double accuracy = 0.0;
-    double loss = 0.0;
-  };
-  GlobalEval evaluate_global(nn::Sequential& model,
-                             std::vector<double>* per_client = nullptr) const;
+  struct Run;  // one run's shared state and its round phases (engine.cpp)
 
-  const data::FederatedDataset& dataset_;
   std::function<nn::Sequential()> model_factory_;
   EngineConfig config_;
-  sim::LatencyModel latency_model_;
+  Population population_;
   sim::FaultModel fault_model_;
-  std::vector<sim::DeviceProfile> profiles_;
   std::vector<double> final_per_client_accuracy_;
   std::vector<float> final_parameters_;
-  std::size_t upload_bytes_ = 0;
 };
-
-/// Server-side update validation: true when every element of `delta` is
-/// finite and (when max_norm > 0) its L2 norm is within max_norm. Both
-/// engines call this before aggregation so a corrupted or diverged client
-/// cannot poison the global model.
-bool update_is_valid(std::span<const float> delta, double max_norm);
 
 }  // namespace haccs::fl

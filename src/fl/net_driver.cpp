@@ -36,16 +36,10 @@ struct ServingMetrics {
   }
 };
 
-std::int64_t steady_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
 
 std::string ServingStatusBoard::to_json() const {
-  const std::int64_t now = steady_ms();
+  const std::int64_t now = net::steady_ms();
   std::string out = "{\"round\":" + std::to_string(round.load());
   out += ",\"collecting\":";
   out += collecting.load() ? "true" : "false";
@@ -142,7 +136,7 @@ void TransportDispatcher::sync_board(std::size_t w) {
 
 void TransportDispatcher::board_note_heard(std::size_t w) {
   if (ServingStatusBoard* board = config_.status_board) {
-    board->worker(w).last_heard_ms.store(steady_ms(),
+    board->worker(w).last_heard_ms.store(net::steady_ms(),
                                          std::memory_order_relaxed);
   }
 }
@@ -293,24 +287,8 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const TrainJobSpec& job = jobs[j];
     const std::size_t w = job.client_id % workers_.size();
-    net::TrainJobMsg msg;
-    msg.epoch = job.epoch;
-    msg.client_id = static_cast<std::uint32_t>(job.client_id);
-    msg.rng_seed = job.rng_seed;
-    msg.algorithm = config_.work.fedprox ? 1 : 0;
-    msg.fedprox_mu = config_.work.fedprox_mu;
-    msg.work_fraction = job.work_fraction;
-    msg.local_epochs = config_.work.local.epochs;
-    msg.batch_size = config_.work.local.batch_size;
-    msg.learning_rate = config_.work.local.sgd.learning_rate;
-    msg.momentum = config_.work.local.sgd.momentum;
-    msg.weight_decay = config_.work.local.sgd.weight_decay;
-    msg.compression_kind =
-        static_cast<std::uint8_t>(config_.work.compression.kind);
-    msg.topk_fraction = config_.work.compression.topk_fraction;
-    msg.error_feedback = config_.work.compression.error_feedback ? 1 : 0;
-    msg.params = global_params;
-    msg.trace = trace_ctx;
+    const net::TrainJobMsg msg =
+        make_train_job_msg(job, config_.work, global_params, trace_ctx);
 
     auto status =
         workers_[w]->send(net::encode_train_job(msg), config_.send_timeout_ms);
@@ -408,7 +386,7 @@ void TransportDispatcher::collect_serving(
     const std::vector<float>& global_params,
     std::vector<TrainOutcome>& outcomes) {
   ServingMetrics& metrics = ServingMetrics::get();
-  const std::int64_t start = steady_ms();
+  const std::int64_t start = net::steady_ms();
   std::vector<std::int64_t> last_heard(workers_.size(), start);
 
   auto outstanding_total = [&] {
@@ -432,7 +410,7 @@ void TransportDispatcher::collect_serving(
   std::int64_t quorum_deadline = -1;  // set once the quorum first lands
 
   while (outstanding_total() > 0) {
-    const std::int64_t now = steady_ms();
+    const std::int64_t now = net::steady_ms();
     // Whole-round collection budget: fail the remainder rather than hang.
     if (config_.recv_timeout_ms >= 0 && now - start > config_.recv_timeout_ms) {
       HACCS_WARN << "serving: round collection budget ("
@@ -475,13 +453,13 @@ void TransportDispatcher::collect_serving(
       const auto status = workers_[w]->recv(&frame, kServeSliceMs);
       switch (status) {
         case net::TransportStatus::Ok:
-          last_heard[w] = steady_ms();
+          last_heard[w] = net::steady_ms();
           board_note_heard(w);
           handle_frame(w, frame, jobs, global_params, outcomes);
           break;
         case net::TransportStatus::Corrupt:
           // A damaged frame is still proof of life.
-          last_heard[w] = steady_ms();
+          last_heard[w] = net::steady_ms();
           board_note_heard(w);
           fail_front(w, FailureKind::CorruptUpdate, outcomes);
           break;
@@ -494,7 +472,7 @@ void TransportDispatcher::collect_serving(
           break;
         case net::TransportStatus::Timeout:
           if (config_.heartbeat_timeout_ms > 0 &&
-              steady_ms() - last_heard[w] > config_.heartbeat_timeout_ms) {
+              net::steady_ms() - last_heard[w] > config_.heartbeat_timeout_ms) {
             metrics.heartbeats_missed.inc();
             HACCS_WARN << "worker " << w << " (" << workers_[w]->peer()
                        << ") silent for > " << config_.heartbeat_timeout_ms
@@ -528,23 +506,7 @@ void WorkerLoop::handle_train_job(net::Transport& transport,
                << " (have " << dataset_.clients.size() << ")";
     return;  // no reply; the server's deadline covers it
   }
-  LocalWorkConfig work;
-  work.local.epochs = static_cast<std::size_t>(msg.local_epochs);
-  work.local.batch_size = static_cast<std::size_t>(msg.batch_size);
-  work.local.sgd.learning_rate = msg.learning_rate;
-  work.local.sgd.momentum = msg.momentum;
-  work.local.sgd.weight_decay = msg.weight_decay;
-  work.fedprox = msg.algorithm != 0;
-  work.fedprox_mu = msg.fedprox_mu;
-  work.compression.kind = static_cast<CompressionKind>(msg.compression_kind);
-  work.compression.topk_fraction = msg.topk_fraction;
-  work.compression.error_feedback = msg.error_feedback != 0;
-
-  TrainJobSpec job;
-  job.client_id = msg.client_id;
-  job.epoch = static_cast<std::size_t>(msg.epoch);
-  job.rng_seed = msg.rng_seed;
-  job.work_fraction = msg.work_fraction;
+  const auto [job, work] = from_train_job_msg(msg);
 
   // Worker-side child span (§5i): gated on the RECEIVED context, so only a
   // tracing server makes workers read clocks or buffer events — a worker's
@@ -588,12 +550,9 @@ void WorkerLoop::handle_train_job(net::Transport& transport,
   const std::size_t n = outcome.updated.size();
   if (work.compression.kind == CompressionKind::None) {
     // Dense uplink ships the updated parameters themselves (messages.hpp).
-    CompressedUpdate dense;
-    dense.dense = std::move(outcome.updated);
-    reply.update = make_update_payload(dense, n, work.compression);
-  } else {
-    reply.update = make_update_payload(compressed, n, work.compression);
+    compressed.dense = std::move(outcome.updated);
   }
+  reply.update = make_update_payload(compressed, n, work.compression);
   const auto status = transport.send(net::encode_client_update(reply));
   if (status != net::TransportStatus::Ok) {
     HACCS_WARN << "worker " << config_.worker_id << " failed to send update: "

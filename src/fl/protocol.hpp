@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "src/fl/compression.hpp"
+#include "src/fl/dispatch.hpp"
 #include "src/net/messages.hpp"
 
 namespace haccs::fl {
@@ -26,6 +28,16 @@ CompressionKind to_compression_kind(net::UpdateKind kind);
 net::UpdatePayload make_update_payload(const CompressedUpdate& compressed,
                                        std::size_t n,
                                        const CompressionConfig& config);
+
+/// The TrainJob frame shipping `job`, `work` and the global `params`.
+net::TrainJobMsg make_train_job_msg(const TrainJobSpec& job,
+                                    const LocalWorkConfig& work,
+                                    const std::vector<float>& params,
+                                    const obs::TraceContext& trace);
+
+/// Its inverse on the worker: the job (slot 0) and the recipe it carries.
+std::pair<TrainJobSpec, LocalWorkConfig> from_train_job_msg(
+    const net::TrainJobMsg& msg);
 
 /// Full frame size of a TrainJob carrying an n-parameter model (downlink).
 std::size_t train_job_frame_bytes(std::size_t n);

@@ -1,7 +1,6 @@
 #include "src/hier/mid_tier.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -17,12 +16,6 @@ namespace {
 /// Poll slice for the alternating upstream/downstream pump: short enough
 /// that neither side starves the other, long enough not to spin.
 constexpr int kSliceMs = 5;
-
-std::int64_t steady_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Per-tier wire/fold telemetry (§5j): `hier_upstream_bytes_*` count exactly
 /// the framed bytes this aggregator exchanged with the root, so a clean
@@ -78,7 +71,7 @@ MidTierAggregator::MidTierAggregator(const MidTierConfig& config)
 void MidTierAggregator::note_heard(std::size_t local) {
   if (fl::ServingStatusBoard* board = config_.status_board) {
     if (local < board->num_workers()) {
-      board->worker(local).last_heard_ms.store(steady_ms(),
+      board->worker(local).last_heard_ms.store(net::steady_ms(),
                                                std::memory_order_relaxed);
     }
   }
@@ -116,7 +109,7 @@ void MidTierAggregator::broadcast_downstream(const net::Frame& frame) {
 
 bool MidTierAggregator::handshake(net::Transport& upstream) {
   const std::int64_t deadline = config_.handshake_timeout_ms > 0
-                                    ? steady_ms() + config_.handshake_timeout_ms
+                                    ? net::steady_ms() + config_.handshake_timeout_ms
                                     : -1;
   auto complete = [&] {
     for (std::uint64_t conn : conn_of_worker_) {
@@ -128,7 +121,7 @@ bool MidTierAggregator::handshake(net::Transport& upstream) {
     return true;
   };
   while (!complete()) {
-    if (deadline >= 0 && steady_ms() > deadline) {
+    if (deadline >= 0 && net::steady_ms() > deadline) {
       HACCS_WARN << "agg " << config_.agg_id
                  << ": handshake timeout; workers connected: "
                  << fanin_.connection_count() << "/" << conn_of_worker_.size();
@@ -160,7 +153,7 @@ bool MidTierAggregator::handshake(net::Transport& upstream) {
 bool MidTierAggregator::run(net::Transport& upstream) {
   if (!handshake(upstream)) return false;
   std::int64_t next_heartbeat = config_.heartbeat_interval_ms > 0
-                                    ? steady_ms() + config_.heartbeat_interval_ms
+                                    ? net::steady_ms() + config_.heartbeat_interval_ms
                                     : -1;
   for (;;) {
     bool busy = false;
@@ -177,9 +170,9 @@ bool MidTierAggregator::run(net::Transport& upstream) {
           broadcast_downstream(net::encode_shutdown());
           // Grace window: relay the workers' final TraceShards upstream
           // before the root stops draining us.
-          const std::int64_t drain_deadline = steady_ms() + 1000;
+          const std::int64_t drain_deadline = net::steady_ms() + 1000;
           while (fanin_.connection_count() > 0 &&
-                 steady_ms() < drain_deadline) {
+                 net::steady_ms() < drain_deadline) {
             net::FanInEvent ev;
             if (fanin_.poll(&ev, 20)) handle_downstream(upstream, ev);
           }
@@ -211,7 +204,7 @@ bool MidTierAggregator::run(net::Transport& upstream) {
     // Round bookkeeping: settle when every expected client is accounted
     // for, or when the deadline fails the stragglers.
     if (round_.open) {
-      if (round_.deadline_ms >= 0 && steady_ms() > round_.deadline_ms) {
+      if (round_.deadline_ms >= 0 && net::steady_ms() > round_.deadline_ms) {
         HACCS_WARN << "agg " << config_.agg_id << ": round " << round_.epoch
                    << " deadline; failing "
                    << round_.expected.size() - round_.settled_count
@@ -222,12 +215,12 @@ bool MidTierAggregator::run(net::Transport& upstream) {
         if (!settle_round(upstream)) return false;
       }
     }
-    if (next_heartbeat >= 0 && steady_ms() >= next_heartbeat) {
+    if (next_heartbeat >= 0 && net::steady_ms() >= next_heartbeat) {
       net::HeartbeatMsg beat;
       beat.sender_id = config_.agg_id;
       beat.epoch = round_.epoch;
       if (!send_upstream(upstream, net::encode_heartbeat(beat))) return false;
-      next_heartbeat = steady_ms() + config_.heartbeat_interval_ms;
+      next_heartbeat = net::steady_ms() + config_.heartbeat_interval_ms;
     }
     if (!busy) {
       // Idle: block briefly on the fan-in side (which also flushes pending
@@ -277,7 +270,7 @@ void MidTierAggregator::open_round(const net::SelectNoticeMsg& msg) {
     register_client(id);
   }
   if (config_.round_timeout_ms > 0) {
-    round_.deadline_ms = steady_ms() + config_.round_timeout_ms;
+    round_.deadline_ms = net::steady_ms() + config_.round_timeout_ms;
   }
   for (auto& queue : pending_) queue.clear();
   if (fl::ServingStatusBoard* board = config_.status_board) {
@@ -323,7 +316,7 @@ void MidTierAggregator::relay_train_job(const net::Frame& frame) {
     round_.implicit = true;
     round_.epoch = msg.epoch;
     if (config_.round_timeout_ms > 0) {
-      round_.deadline_ms = steady_ms() + config_.round_timeout_ms;
+      round_.deadline_ms = net::steady_ms() + config_.round_timeout_ms;
     }
     for (auto& queue : pending_) queue.clear();
   }
@@ -521,7 +514,8 @@ void MidTierAggregator::fold_update(std::size_t index,
     std::vector<float> updated = std::move(msg.update.dense);
     ok = fl::fold_into_partial(round_.partial, updated, round_.global,
                                static_cast<double>(msg.sample_count),
-                               config_.max_update_norm);
+                               config_.max_update_norm)
+             .has_value();
   }
   if (ok) {
     stat.delivered = 1;

@@ -1,12 +1,12 @@
 #include "src/hier/tree_dispatcher.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
 #include "src/common/logging.hpp"
+#include "src/fl/protocol.hpp"
 #include "src/net/wire.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
@@ -23,12 +23,6 @@ constexpr int kSliceMs = 10;
 /// TCP backpressure then holds the data at the sender, which is what bounds
 /// root memory to O(chunk × aggregators).
 constexpr std::size_t kMaxStashChunks = 8;
-
-std::int64_t steady_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct TreeMetrics {
   obs::Counter& chunks =
@@ -189,26 +183,10 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
     bool alive = true;
     for (const std::size_t j : round.job_indices) {
       const fl::TrainJobSpec& job = jobs[j];
-      net::TrainJobMsg msg;
-      msg.epoch = job.epoch;
-      msg.client_id = static_cast<std::uint32_t>(job.client_id);
-      msg.rng_seed = job.rng_seed;
-      msg.algorithm = config_.work.fedprox ? 1 : 0;
-      msg.fedprox_mu = config_.work.fedprox_mu;
-      msg.work_fraction = job.work_fraction;
-      msg.local_epochs = config_.work.local.epochs;
-      msg.batch_size = config_.work.local.batch_size;
-      msg.learning_rate = config_.work.local.sgd.learning_rate;
-      msg.momentum = config_.work.local.sgd.momentum;
-      msg.weight_decay = config_.work.local.sgd.weight_decay;
-      msg.compression_kind =
-          static_cast<std::uint8_t>(config_.work.compression.kind);
-      msg.topk_fraction = config_.work.compression.topk_fraction;
-      msg.error_feedback = config_.work.compression.error_feedback ? 1 : 0;
-      msg.params = global_params;
-      msg.trace = trace_ctx;
-      const auto js =
-          aggs_[a]->send(net::encode_train_job(msg), config_.send_timeout_ms);
+      const auto js = aggs_[a]->send(
+          net::encode_train_job(fl::make_train_job_msg(
+              job, config_.work, global_params, trace_ctx)),
+          config_.send_timeout_ms);
       if (js != net::TransportStatus::Ok) {
         if (js == net::TransportStatus::Closed) set_dead(a, true);
         fail_agg_jobs(a, js == net::TransportStatus::Timeout
@@ -223,7 +201,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
 
   // Collection: fold gated chunks as they arrive.
   std::vector<double> acc(global_params.size(), 0.0);
-  const std::int64_t start = steady_ms();
+  const std::int64_t start = net::steady_ms();
   std::vector<std::int64_t> last_heard(num_aggs, start);
   bool torn = false;
 
@@ -254,7 +232,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
   };
 
   while (!torn && !all_done()) {
-    const std::int64_t now = steady_ms();
+    const std::int64_t now = net::steady_ms();
     if (config_.recv_timeout_ms >= 0 &&
         now - start > config_.recv_timeout_ms) {
       HACCS_WARN << "tree: round " << epoch << " collection budget ("
@@ -283,7 +261,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
       const auto status = aggs_[a]->recv(&frame, kSliceMs);
       switch (status) {
         case net::TransportStatus::Ok: {
-          last_heard[a] = steady_ms();
+          last_heard[a] = net::steady_ms();
           if (fl::ServingStatusBoard* board = config_.status_board) {
             if (a < board->num_workers()) {
               board->worker(a).last_heard_ms.store(last_heard[a],
@@ -331,7 +309,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
         case net::TransportStatus::Corrupt:
           // Proof of life, but the frame (possibly a chunk) is gone — the
           // aggregator can no longer finish; the budget tears the round.
-          last_heard[a] = steady_ms();
+          last_heard[a] = net::steady_ms();
           HACCS_WARN << "tree: corrupt frame from agg " << a;
           break;
         case net::TransportStatus::Closed:
@@ -342,7 +320,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
           break;
         case net::TransportStatus::Timeout:
           if (config_.heartbeat_timeout_ms > 0 &&
-              steady_ms() - last_heard[a] > config_.heartbeat_timeout_ms) {
+              net::steady_ms() - last_heard[a] > config_.heartbeat_timeout_ms) {
             HACCS_WARN << "tree: agg " << a << " silent for > "
                        << config_.heartbeat_timeout_ms
                        << " ms; declaring dead";

@@ -1,5 +1,7 @@
 #include "src/net/transport.hpp"
 
+#include <chrono>
+
 namespace haccs::net {
 
 const char* to_string(TransportStatus status) {
@@ -10,6 +12,12 @@ const char* to_string(TransportStatus status) {
     case TransportStatus::Corrupt: return "corrupt";
   }
   return "unknown";
+}
+
+std::int64_t steady_ms() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 NetMetrics& NetMetrics::get() {

@@ -34,6 +34,9 @@ enum class TransportStatus : std::uint8_t {
 
 const char* to_string(TransportStatus status);
 
+/// Monotonic milliseconds: the clock of every serving-plane deadline.
+std::int64_t steady_ms();
+
 class Transport {
  public:
   virtual ~Transport() = default;

@@ -10,27 +10,13 @@
 
 namespace haccs::select {
 
-namespace {
-
-std::vector<std::vector<double>> counts_of(const data::FederatedDataset& fed) {
-  std::vector<std::vector<double>> counts;
-  counts.reserve(fed.clients.size());
-  for (const auto& client : fed.clients) {
-    counts.push_back(client.train.label_counts());
-  }
-  return counts;
-}
-
-}  // namespace
-
 DppSelector::DppSelector(std::vector<std::vector<double>> label_counts,
                          DppConfig config)
-    : config_(config), population_(label_counts.size()) {
+    : config_(config),
+      population_(label_counts.size()),
+      reliability_(config.failure_factor, config.min_reliability) {
   if (population_ == 0) {
     throw std::invalid_argument("DppSelector: empty population");
-  }
-  if (config_.failure_factor <= 0.0 || config_.failure_factor > 1.0) {
-    throw std::invalid_argument("DppSelector: bad failure_factor");
   }
   similarity_.assign(population_ * population_, 1.0);
   for (std::size_t i = 0; i < population_; ++i) {
@@ -43,12 +29,12 @@ DppSelector::DppSelector(std::vector<std::vector<double>> label_counts,
     }
   }
   observed_loss_.assign(population_, std::numeric_limits<double>::quiet_NaN());
-  reliability_.assign(population_, 1.0);
+  reliability_.reset(population_);
 }
 
 DppSelector::DppSelector(const data::FederatedDataset& dataset,
                          DppConfig config)
-    : DppSelector(counts_of(dataset), config) {}
+    : DppSelector(dataset.train_label_counts(), config) {}
 
 void DppSelector::initialize(
     const std::vector<fl::ClientRuntimeInfo>& clients) {
@@ -62,10 +48,6 @@ double DppSelector::similarity(std::size_t a, std::size_t b) const {
   return similarity_[a * population_ + b];
 }
 
-double DppSelector::reliability_of(std::size_t client_id) const {
-  return client_id < reliability_.size() ? reliability_[client_id] : 1.0;
-}
-
 double DppSelector::quality(const fl::ClientRuntimeInfo& client) const {
   const double loss = std::isnan(observed_loss_[client.id])
                           ? config_.initial_loss
@@ -74,7 +56,7 @@ double DppSelector::quality(const fl::ClientRuntimeInfo& client) const {
   // the same statistical-utility shape Oort exploits.
   const double q = std::sqrt(static_cast<double>(client.num_samples) *
                              std::max(loss, 1.0e-6)) *
-                   reliability_[client.id];
+                   reliability_.of(client.id);
   return std::max(q, 1.0e-9);
 }
 
@@ -82,14 +64,7 @@ void DppSelector::report_result(std::size_t client_id, double loss,
                                 std::size_t /*epoch*/) {
   if (client_id >= observed_loss_.size()) return;
   observed_loss_[client_id] = loss;
-  reliability_[client_id] += 0.5 * (1.0 - reliability_[client_id]);
-}
-
-void DppSelector::report_failure(std::size_t client_id, std::size_t /*epoch*/,
-                                 fl::FailureKind /*kind*/) {
-  if (client_id >= reliability_.size()) return;
-  reliability_[client_id] = std::max(
-      config_.min_reliability, reliability_[client_id] * config_.failure_factor);
+  reliability_.record_success(client_id);
 }
 
 std::vector<std::size_t> DppSelector::select(
@@ -160,7 +135,7 @@ std::vector<std::uint8_t> DppSelector::save_state() const {
   w.string("DPP");
   w.u16(1);  // state-blob version
   w.f64_array(observed_loss_);
-  w.f64_array(reliability_);
+  reliability_.save(w);
   return w.take();
 }
 
@@ -173,13 +148,11 @@ void DppSelector::load_state(std::span<const std::uint8_t> state) {
     throw std::runtime_error("DppSelector: unsupported state version");
   }
   auto observed = r.f64_array();
-  auto reliability = r.f64_array();
-  r.expect_exhausted();
-  if (observed.size() != population_ || reliability.size() != population_) {
+  if (observed.size() != population_) {
     throw std::runtime_error("DppSelector: state population mismatch");
   }
+  reliability_.load(r);
   observed_loss_ = std::move(observed);
-  reliability_ = std::move(reliability);
 }
 
 }  // namespace haccs::select

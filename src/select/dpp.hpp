@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/data/partition.hpp"
+#include "src/fl/reliability.hpp"
 #include "src/fl/selector.hpp"
 
 namespace haccs::select {
@@ -45,13 +46,17 @@ class DppSelector final : public fl::ClientSelector {
       std::size_t epoch, Rng& rng) override;
   void report_result(std::size_t client_id, double loss,
                      std::size_t epoch) override;
-  void report_failure(std::size_t client_id, std::size_t epoch,
-                      fl::FailureKind kind) override;
+  void report_failure(std::size_t client_id, std::size_t /*epoch*/,
+                      fl::FailureKind /*kind*/) override {
+    reliability_.record_failure(client_id);
+  }
   std::string name() const override { return "DPP"; }
 
   /// Kernel similarity between two clients (1 - Hellinger) — for tests.
   double similarity(std::size_t a, std::size_t b) const;
-  double reliability_of(std::size_t client_id) const;
+  double reliability_of(std::size_t client_id) const {
+    return reliability_.of(client_id);
+  }
 
   std::vector<std::uint8_t> save_state() const override;
   void load_state(std::span<const std::uint8_t> state) override;
@@ -63,7 +68,7 @@ class DppSelector final : public fl::ClientSelector {
   std::size_t population_ = 0;
   std::vector<double> similarity_;   // n x n, row-major; structural
   std::vector<double> observed_loss_;  // NaN until first observation
-  std::vector<double> reliability_;    // in (0, 1]
+  fl::ReliabilityTracker reliability_;
 };
 
 }  // namespace haccs::select

@@ -12,22 +12,11 @@
 
 namespace haccs::select {
 
-namespace {
-
-std::vector<std::vector<double>> counts_of(const data::FederatedDataset& fed) {
-  std::vector<std::vector<double>> counts;
-  counts.reserve(fed.clients.size());
-  for (const auto& client : fed.clients) {
-    counts.push_back(client.train.label_counts());
-  }
-  return counts;
-}
-
-}  // namespace
-
 FedLeccSelector::FedLeccSelector(std::vector<std::vector<double>> label_counts,
                                  FedLeccConfig config)
-    : config_(config), population_(label_counts.size()) {
+    : config_(config),
+      population_(label_counts.size()),
+      reliability_(config.failure_factor, config.min_reliability) {
   if (population_ == 0) {
     throw std::invalid_argument("FedLeccSelector: empty population");
   }
@@ -53,12 +42,12 @@ FedLeccSelector::FedLeccSelector(std::vector<std::vector<double>> label_counts,
     clusters_[static_cast<std::size_t>(cluster_of_[i])].push_back(i);
   }
   observed_loss_.assign(population_, std::numeric_limits<double>::quiet_NaN());
-  reliability_.assign(population_, 1.0);
+  reliability_.reset(population_);
 }
 
 FedLeccSelector::FedLeccSelector(const data::FederatedDataset& dataset,
                                  FedLeccConfig config)
-    : FedLeccSelector(counts_of(dataset), config) {}
+    : FedLeccSelector(dataset.train_label_counts(), config) {}
 
 void FedLeccSelector::initialize(
     const std::vector<fl::ClientRuntimeInfo>& clients) {
@@ -74,23 +63,11 @@ double FedLeccSelector::loss_of(std::size_t client_id) const {
                                                : observed_loss_[client_id];
 }
 
-double FedLeccSelector::reliability_of(std::size_t client_id) const {
-  return client_id < reliability_.size() ? reliability_[client_id] : 1.0;
-}
-
 void FedLeccSelector::report_result(std::size_t client_id, double loss,
                                     std::size_t /*epoch*/) {
   if (client_id >= observed_loss_.size()) return;
   observed_loss_[client_id] = loss;
-  reliability_[client_id] += 0.5 * (1.0 - reliability_[client_id]);
-}
-
-void FedLeccSelector::report_failure(std::size_t client_id,
-                                     std::size_t /*epoch*/,
-                                     fl::FailureKind /*kind*/) {
-  if (client_id >= reliability_.size()) return;
-  reliability_[client_id] = std::max(
-      config_.min_reliability, reliability_[client_id] * config_.failure_factor);
+  reliability_.record_success(client_id);
 }
 
 std::vector<std::size_t> FedLeccSelector::select(
@@ -128,7 +105,7 @@ std::vector<std::size_t> FedLeccSelector::select(
     std::size_t best = open[c].front();
     double best_score = -1.0;
     for (std::size_t id : open[c]) {
-      const double score = loss_of(id) * reliability_[id];
+      const double score = loss_of(id) * reliability_.of(id);
       if (score > best_score ||
           (score == best_score &&
            (clients[id].latency_s < clients[best].latency_s ||
@@ -149,7 +126,7 @@ std::vector<std::uint8_t> FedLeccSelector::save_state() const {
   w.string("FedLECC");
   w.u16(1);  // state-blob version
   w.f64_array(observed_loss_);
-  w.f64_array(reliability_);
+  reliability_.save(w);
   return w.take();
 }
 
@@ -163,13 +140,11 @@ void FedLeccSelector::load_state(std::span<const std::uint8_t> state) {
     throw std::runtime_error("FedLeccSelector: unsupported state version");
   }
   auto observed = r.f64_array();
-  auto reliability = r.f64_array();
-  r.expect_exhausted();
-  if (observed.size() != population_ || reliability.size() != population_) {
+  if (observed.size() != population_) {
     throw std::runtime_error("FedLeccSelector: state population mismatch");
   }
+  reliability_.load(r);
   observed_loss_ = std::move(observed);
-  reliability_ = std::move(reliability);
 }
 
 }  // namespace haccs::select

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/data/partition.hpp"
+#include "src/fl/reliability.hpp"
 #include "src/fl/selector.hpp"
 
 namespace haccs::select {
@@ -42,13 +43,17 @@ class FedLeccSelector final : public fl::ClientSelector {
       std::size_t epoch, Rng& rng) override;
   void report_result(std::size_t client_id, double loss,
                      std::size_t epoch) override;
-  void report_failure(std::size_t client_id, std::size_t epoch,
-                      fl::FailureKind kind) override;
+  void report_failure(std::size_t client_id, std::size_t /*epoch*/,
+                      fl::FailureKind /*kind*/) override {
+    reliability_.record_failure(client_id);
+  }
   std::string name() const override { return "FedLECC"; }
 
   std::size_t num_clusters() const { return clusters_.size(); }
   int cluster_of(std::size_t client_id) const { return cluster_of_[client_id]; }
-  double reliability_of(std::size_t client_id) const;
+  double reliability_of(std::size_t client_id) const {
+    return reliability_.of(client_id);
+  }
 
   std::vector<std::uint8_t> save_state() const override;
   void load_state(std::span<const std::uint8_t> state) override;
@@ -61,7 +66,7 @@ class FedLeccSelector final : public fl::ClientSelector {
   std::vector<int> cluster_of_;                    // structural
   std::vector<std::vector<std::size_t>> clusters_; // structural
   std::vector<double> observed_loss_;  // NaN until first observation
-  std::vector<double> reliability_;    // in (0, 1]
+  fl::ReliabilityTracker reliability_;
 };
 
 }  // namespace haccs::select

@@ -10,22 +10,11 @@
 
 namespace haccs::select {
 
-namespace {
-
-std::vector<std::vector<double>> counts_of(const data::FederatedDataset& fed) {
-  std::vector<std::vector<double>> counts;
-  counts.reserve(fed.clients.size());
-  for (const auto& client : fed.clients) {
-    counts.push_back(client.train.label_counts());
-  }
-  return counts;
-}
-
-}  // namespace
-
 HicsSelector::HicsSelector(std::vector<std::vector<double>> label_counts,
                            HicsConfig config)
-    : config_(config), population_(label_counts.size()) {
+    : config_(config),
+      population_(label_counts.size()),
+      reliability_(config.failure_factor, config.min_reliability) {
   if (population_ == 0) {
     throw std::invalid_argument("HicsSelector: empty population");
   }
@@ -54,12 +43,12 @@ HicsSelector::HicsSelector(std::vector<std::vector<double>> label_counts,
         counts, mean, stats::DistanceKind::Hellinger));
   }
   observed_loss_.assign(population_, std::numeric_limits<double>::quiet_NaN());
-  reliability_.assign(population_, 1.0);
+  reliability_.reset(population_);
 }
 
 HicsSelector::HicsSelector(const data::FederatedDataset& dataset,
                            HicsConfig config)
-    : HicsSelector(counts_of(dataset), config) {}
+    : HicsSelector(dataset.train_label_counts(), config) {}
 
 void HicsSelector::initialize(
     const std::vector<fl::ClientRuntimeInfo>& clients) {
@@ -73,22 +62,11 @@ double HicsSelector::heterogeneity_of(std::size_t client_id) const {
   return client_id < heterogeneity_.size() ? heterogeneity_[client_id] : 0.0;
 }
 
-double HicsSelector::reliability_of(std::size_t client_id) const {
-  return client_id < reliability_.size() ? reliability_[client_id] : 1.0;
-}
-
 void HicsSelector::report_result(std::size_t client_id, double loss,
                                  std::size_t /*epoch*/) {
   if (client_id >= observed_loss_.size()) return;
   observed_loss_[client_id] = loss;
-  reliability_[client_id] += 0.5 * (1.0 - reliability_[client_id]);
-}
-
-void HicsSelector::report_failure(std::size_t client_id, std::size_t /*epoch*/,
-                                  fl::FailureKind /*kind*/) {
-  if (client_id >= reliability_.size()) return;
-  reliability_[client_id] = std::max(
-      config_.min_reliability, reliability_[client_id] * config_.failure_factor);
+  reliability_.record_success(client_id);
 }
 
 std::vector<std::size_t> HicsSelector::select(
@@ -109,7 +87,7 @@ std::vector<std::size_t> HicsSelector::select(
     const double loss = std::isnan(observed_loss_[id]) ? config_.initial_loss
                                                        : observed_loss_[id];
     double w = (config_.base + heterogeneity_[id]) *
-               std::max(loss, 1.0e-6) * reliability_[id];
+               std::max(loss, 1.0e-6) * reliability_.of(id);
     if (config_.latency_beta > 0.0 && clients[id].latency_s > 0.0 &&
         min_latency > 0.0) {
       w *= std::pow(min_latency / clients[id].latency_s, config_.latency_beta);
@@ -133,7 +111,7 @@ std::vector<std::uint8_t> HicsSelector::save_state() const {
   w.string("HiCS");
   w.u16(1);  // state-blob version
   w.f64_array(observed_loss_);
-  w.f64_array(reliability_);
+  reliability_.save(w);
   return w.take();
 }
 
@@ -146,13 +124,11 @@ void HicsSelector::load_state(std::span<const std::uint8_t> state) {
     throw std::runtime_error("HicsSelector: unsupported state version");
   }
   auto observed = r.f64_array();
-  auto reliability = r.f64_array();
-  r.expect_exhausted();
-  if (observed.size() != population_ || reliability.size() != population_) {
+  if (observed.size() != population_) {
     throw std::runtime_error("HicsSelector: state population mismatch");
   }
+  reliability_.load(r);
   observed_loss_ = std::move(observed);
-  reliability_ = std::move(reliability);
 }
 
 }  // namespace haccs::select

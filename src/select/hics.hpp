@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/data/partition.hpp"
+#include "src/fl/reliability.hpp"
 #include "src/fl/selector.hpp"
 
 namespace haccs::select {
@@ -48,13 +49,17 @@ class HicsSelector final : public fl::ClientSelector {
       std::size_t epoch, Rng& rng) override;
   void report_result(std::size_t client_id, double loss,
                      std::size_t epoch) override;
-  void report_failure(std::size_t client_id, std::size_t epoch,
-                      fl::FailureKind kind) override;
+  void report_failure(std::size_t client_id, std::size_t /*epoch*/,
+                      fl::FailureKind /*kind*/) override {
+    reliability_.record_failure(client_id);
+  }
   std::string name() const override { return "HiCS"; }
 
   /// Static heterogeneity score of a client — for tests.
   double heterogeneity_of(std::size_t client_id) const;
-  double reliability_of(std::size_t client_id) const;
+  double reliability_of(std::size_t client_id) const {
+    return reliability_.of(client_id);
+  }
 
   std::vector<std::uint8_t> save_state() const override;
   void load_state(std::span<const std::uint8_t> state) override;
@@ -64,7 +69,7 @@ class HicsSelector final : public fl::ClientSelector {
   std::size_t population_ = 0;
   std::vector<double> heterogeneity_;  // structural
   std::vector<double> observed_loss_;  // NaN until first observation
-  std::vector<double> reliability_;    // in (0, 1]
+  fl::ReliabilityTracker reliability_;
 };
 
 }  // namespace haccs::select

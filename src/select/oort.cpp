@@ -10,7 +10,9 @@
 
 namespace haccs::select {
 
-OortSelector::OortSelector(OortConfig config) : config_(config) {
+OortSelector::OortSelector(OortConfig config)
+    : config_(config),
+      reliability_(config.failure_factor, config.min_reliability) {
   if (config_.alpha < 0.0) {
     throw std::invalid_argument("OortSelector: alpha must be >= 0");
   }
@@ -24,7 +26,7 @@ void OortSelector::initialize(
   observed_loss_.assign(clients.size(),
                         std::numeric_limits<double>::quiet_NaN());
   last_round_.assign(clients.size(), 0);
-  reliability_.assign(clients.size(), 1.0);
+  reliability_.reset(clients.size());
 
   std::vector<double> latencies;
   latencies.reserve(clients.size());
@@ -40,16 +42,7 @@ void OortSelector::report_result(std::size_t client_id, double loss,
   if (client_id >= observed_loss_.size()) return;
   observed_loss_[client_id] = loss;
   last_round_[client_id] = epoch + 1;
-  // Successful delivery recovers half the reliability gap (1.0 stays 1.0
-  // exactly, so fault-free runs are unchanged).
-  reliability_[client_id] += 0.5 * (1.0 - reliability_[client_id]);
-}
-
-void OortSelector::report_failure(std::size_t client_id, std::size_t /*epoch*/,
-                                  fl::FailureKind /*kind*/) {
-  if (client_id >= reliability_.size()) return;
-  reliability_[client_id] = std::max(
-      config_.min_reliability, reliability_[client_id] * config_.failure_factor);
+  reliability_.record_success(client_id);
 }
 
 std::vector<std::uint8_t> OortSelector::save_state() const {
@@ -60,7 +53,7 @@ std::vector<std::uint8_t> OortSelector::save_state() const {
   w.f64_array(observed_loss_);  // NaN sentinels round-trip bit-exactly
   w.u64(last_round_.size());
   for (std::size_t r : last_round_) w.u64(static_cast<std::uint64_t>(r));
-  w.f64_array(reliability_);
+  reliability_.save(w);
   return w.take();
 }
 
@@ -80,21 +73,14 @@ void OortSelector::load_state(std::span<const std::uint8_t> state) {
   for (std::uint64_t i = 0; i < rounds_len; ++i) {
     rounds.push_back(static_cast<std::size_t>(r.u64()));
   }
-  auto reliability = r.f64_array();
-  r.expect_exhausted();
   if (observed.size() != observed_loss_.size() ||
-      rounds.size() != last_round_.size() ||
-      reliability.size() != reliability_.size()) {
+      rounds.size() != last_round_.size()) {
     throw std::runtime_error("OortSelector: state population mismatch");
   }
+  reliability_.load(r);
   deadline_s_ = deadline;
   observed_loss_ = std::move(observed);
   last_round_ = std::move(rounds);
-  reliability_ = std::move(reliability);
-}
-
-double OortSelector::reliability_of(std::size_t client_id) const {
-  return client_id < reliability_.size() ? reliability_[client_id] : 1.0;
 }
 
 double OortSelector::utility(const fl::ClientRuntimeInfo& client,
@@ -113,7 +99,7 @@ double OortSelector::utility(const fl::ClientRuntimeInfo& client,
          static_cast<double>(client.num_samples);
   }
   // Reliability penalty from reported mid-round failures (1.0 when clean).
-  return u * reliability_[client.id];
+  return u * reliability_.of(client.id);
 }
 
 std::vector<std::size_t> OortSelector::select(

@@ -13,6 +13,7 @@
 // never-tried clients at random; the rest exploit the top-utility clients.
 #pragma once
 
+#include "src/fl/reliability.hpp"
 #include "src/fl/selector.hpp"
 
 namespace haccs::select {
@@ -49,8 +50,10 @@ class OortSelector final : public fl::ClientSelector {
                      std::size_t epoch) override;
   /// Failure-aware reaction: multiplicative utility penalty (Oort's own
   /// reliability story), recovered gradually by later successes.
-  void report_failure(std::size_t client_id, std::size_t epoch,
-                      fl::FailureKind kind) override;
+  void report_failure(std::size_t client_id, std::size_t /*epoch*/,
+                      fl::FailureKind /*kind*/) override {
+    reliability_.record_failure(client_id);
+  }
   std::string name() const override { return "Oort"; }
 
   /// Current utility of a client (exposed for tests).
@@ -58,7 +61,9 @@ class OortSelector final : public fl::ClientSelector {
 
   double deadline() const { return deadline_s_; }
   /// Reliability multiplier of a client (1 = never failed) — for tests.
-  double reliability_of(std::size_t client_id) const;
+  double reliability_of(std::size_t client_id) const {
+    return reliability_.of(client_id);
+  }
 
   /// Crash-resume state: deadline, observed losses, participation history,
   /// and reliability multipliers.
@@ -70,7 +75,7 @@ class OortSelector final : public fl::ClientSelector {
   double deadline_s_ = 0.0;
   std::vector<double> observed_loss_;     // NaN until first observation
   std::vector<std::size_t> last_round_;   // last participation epoch + 1
-  std::vector<double> reliability_;       // utility multiplier in (0, 1]
+  fl::ReliabilityTracker reliability_;  // utility multiplier
 };
 
 }  // namespace haccs::select

@@ -868,10 +868,7 @@ void check_loopback_differential(const ScenarioSpec& spec,
   fl::LoopbackCluster cluster(working, build_model_factory(spec, working),
                               spec.workers);
   fl::TransportDispatcherConfig dcfg;
-  dcfg.work.local = engine.local;
-  dcfg.work.fedprox = engine.algorithm == fl::LocalAlgorithm::FedProx;
-  dcfg.work.fedprox_mu = engine.fedprox_mu;
-  dcfg.work.compression = engine.compression;
+  dcfg.work = fl::local_work(engine);
   dcfg.recv_timeout_ms = 60000;
   fl::TransportDispatcher dispatcher(cluster.server_transports(), dcfg);
   const auto transported = run_scenario_mut(spec, working, &dispatcher);
@@ -899,10 +896,7 @@ void check_chaos_liveness(const ScenarioSpec& spec,
   fl::LoopbackCluster cluster(working, build_model_factory(spec, working),
                               spec.workers, copts);
   fl::TransportDispatcherConfig dcfg;
-  dcfg.work.local = engine.local;
-  dcfg.work.fedprox = engine.algorithm == fl::LocalAlgorithm::FedProx;
-  dcfg.work.fedprox_mu = engine.fedprox_mu;
-  dcfg.work.compression = engine.compression;
+  dcfg.work = fl::local_work(engine);
   dcfg.recv_timeout_ms = 60000;  // whole-round budget: bounds any hang
   dcfg.heartbeat_timeout_ms = 2000;
   dcfg.quorum_fraction = 0.5;
@@ -1052,7 +1046,7 @@ std::vector<Violation> check_scenario(const ScenarioSpec& spec,
     // latencies derived from the engine seed).
     fl::FederatedTrainer trainer(fed, build_model_factory(spec, fed),
                                  build_engine_config(spec));
-    const auto view = trainer.make_client_view();
+    const auto view = trainer.population().make_client_view();
     check_selection_contract(spec, fed, view, out);
     check_selection_mass(spec, fed, view, out);
     check_dead_client(spec, fed, view, out);

@@ -1,6 +1,7 @@
 // Tests for the asynchronous buffered-aggregation engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -66,6 +67,35 @@ TEST(AsyncEngine, ValidatesConfig) {
     EXPECT_THROW(AsyncFederatedTrainer(fed, factory, cfg),
                  std::invalid_argument);
   }
+  {
+    auto cfg = make_config();
+    cfg.eval_every = 0;  // would divide by zero at the first aggregation
+    EXPECT_THROW(AsyncFederatedTrainer(fed, factory, cfg),
+                 std::invalid_argument);
+  }
+}
+
+TEST(AsyncEngine, DispatchesNothingAfterTheFinalAggregation) {
+  // Records the highest aggregation index any dispatch was selected for.
+  class Recording final : public ClientSelector {
+   public:
+    std::vector<std::size_t> select(std::size_t k,
+                                    const std::vector<ClientRuntimeInfo>& view,
+                                    std::size_t epoch, Rng& rng) override {
+      last_epoch = std::max(last_epoch, epoch);
+      return inner.select(k, view, epoch, rng);
+    }
+    std::string name() const override { return "Recording"; }
+    select::RandomSelector inner;
+    std::size_t last_epoch = 0;
+  };
+  const auto fed = make_fed();
+  const auto cfg = make_config(8);
+  AsyncFederatedTrainer trainer(fed, core::default_model_factory(fed, 99), cfg);
+  Recording selector;
+  const auto history = trainer.run(selector);
+  ASSERT_EQ(history.records().size(), cfg.aggregations);
+  EXPECT_LT(selector.last_epoch, cfg.aggregations);
 }
 
 TEST(AsyncEngine, ProducesOneRecordPerAggregation) {
@@ -122,8 +152,8 @@ TEST(AsyncEngine, MatchesSyncProfilesForSameSeed) {
   FederatedTrainer sync_trainer(fed, core::default_model_factory(fed, 99),
                                 sync_cfg);
   for (std::size_t i = 0; i < fed.num_clients(); ++i) {
-    EXPECT_DOUBLE_EQ(async_trainer.profiles()[i].bandwidth_mbps,
-                     sync_trainer.profiles()[i].bandwidth_mbps);
+    EXPECT_DOUBLE_EQ(async_trainer.population().profiles()[i].bandwidth_mbps,
+                     sync_trainer.population().profiles()[i].bandwidth_mbps);
   }
 }
 

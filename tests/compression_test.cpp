@@ -159,7 +159,8 @@ TEST(Compression, EngineTrainsWithCompressedUplink) {
   FederatedTrainer dense_trainer(fed, core::default_model_factory(fed, 99),
                                  dense_cfg);
   for (std::size_t i = 0; i < fed.num_clients(); ++i) {
-    EXPECT_LT(trainer.client_latency(i), dense_trainer.client_latency(i));
+    EXPECT_LT(trainer.population().client_latency(i),
+              dense_trainer.population().client_latency(i));
   }
 }
 

@@ -12,6 +12,7 @@
 #include "src/core/haccs_system.hpp"
 #include "src/fl/async_engine.hpp"
 #include "src/fl/engine.hpp"
+#include "src/fl/reliability.hpp"
 #include "src/select/oort.hpp"
 #include "src/select/random_selector.hpp"
 #include "src/select/tifl.hpp"
@@ -673,6 +674,42 @@ TEST(HaccsFailure, ReplacementCanBeDisabled) {
   const auto out = selector.select(1, view, 1, rng);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_LT(out[0], 3u);  // no IOU: the fast cluster keeps the slot
+}
+
+TEST(ReliabilityTracker, FloorsOnFailureRecoversHalfTheGapAndChecksLoad) {
+  fl::ReliabilityTracker tracker(0.5, 1.0 / 64.0);
+  tracker.reset(3);
+  EXPECT_DOUBLE_EQ(tracker.of(1), 1.0);
+  EXPECT_DOUBLE_EQ(tracker.of(99), 1.0);  // unknown ids read fully reliable
+
+  for (int i = 0; i < 20; ++i) tracker.record_failure(1);
+  EXPECT_DOUBLE_EQ(tracker.of(1), 1.0 / 64.0);  // the floor, never zero
+
+  tracker.record_success(1);  // half the gap to 1
+  EXPECT_DOUBLE_EQ(tracker.of(1), 1.0 / 64.0 + 0.5 * (1.0 - 1.0 / 64.0));
+  tracker.record_success(0);
+  EXPECT_DOUBLE_EQ(tracker.of(0), 1.0);  // 1.0 stays exactly 1.0
+
+  // The blob field is exactly one f64 array, which load() reads back.
+  net::WireWriter w;
+  tracker.save(w);
+  net::WireWriter expected;
+  expected.f64_array(std::vector<double>{1.0, tracker.of(1), 1.0});
+  const auto blob = w.take();
+  EXPECT_EQ(blob, expected.take());
+  fl::ReliabilityTracker restored(0.5, 1.0 / 64.0);
+  restored.reset(3);
+  net::WireReader r(blob);
+  restored.load(r);
+  EXPECT_DOUBLE_EQ(restored.of(1), tracker.of(1));
+
+  // A state written for another population size is rejected untouched.
+  fl::ReliabilityTracker other(0.5, 1.0 / 64.0);
+  other.reset(4);
+  other.record_failure(2);
+  net::WireReader mismatched(blob);
+  EXPECT_THROW(other.load(mismatched), std::runtime_error);
+  EXPECT_DOUBLE_EQ(other.of(2), 0.5);
 }
 
 TEST(OortFailure, FailurePenalizesUtilityAndSuccessRecoversIt) {

@@ -140,7 +140,7 @@ TEST(Engine, ClientViewHasLatenciesAndSamples) {
   const auto fed = tiny_fed(6);
   FederatedTrainer trainer(fed, tiny_model_factory(),
                            {.rounds = 1, .clients_per_round = 2});
-  const auto view = trainer.make_client_view();
+  const auto view = trainer.population().make_client_view();
   ASSERT_EQ(view.size(), 6u);
   for (std::size_t i = 0; i < view.size(); ++i) {
     EXPECT_EQ(view[i].id, i);
@@ -155,15 +155,16 @@ TEST(Engine, SameSeedSameProfiles) {
   FederatedTrainer t1(fed, tiny_model_factory(), {.rounds = 1, .clients_per_round = 2, .seed = 9});
   FederatedTrainer t2(fed, tiny_model_factory(), {.rounds = 1, .clients_per_round = 2, .seed = 9});
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_DOUBLE_EQ(t1.profiles()[i].compute_multiplier,
-                     t2.profiles()[i].compute_multiplier);
-    EXPECT_DOUBLE_EQ(t1.profiles()[i].bandwidth_mbps,
-                     t2.profiles()[i].bandwidth_mbps);
+    EXPECT_DOUBLE_EQ(t1.population().profiles()[i].compute_multiplier,
+                     t2.population().profiles()[i].compute_multiplier);
+    EXPECT_DOUBLE_EQ(t1.population().profiles()[i].bandwidth_mbps,
+                     t2.population().profiles()[i].bandwidth_mbps);
   }
   FederatedTrainer t3(fed, tiny_model_factory(), {.rounds = 1, .clients_per_round = 2, .seed = 10});
   bool any_diff = false;
   for (std::size_t i = 0; i < 6; ++i) {
-    any_diff |= t1.profiles()[i].bandwidth_mbps != t3.profiles()[i].bandwidth_mbps;
+    any_diff |= t1.population().profiles()[i].bandwidth_mbps !=
+                t3.population().profiles()[i].bandwidth_mbps;
   }
   EXPECT_TRUE(any_diff);
 }
@@ -249,8 +250,8 @@ TEST(Engine, RoundDurationIsSelectedStragglerLatency) {
   for (const auto& r : history.records()) {
     double max_latency = 0.0;
     for (std::size_t id : r.selected) {
-      max_latency =
-          std::max(max_latency, trainer.client_latency_at(id, r.epoch));
+      max_latency = std::max(
+          max_latency, trainer.population().client_latency_at(id, r.epoch));
     }
     EXPECT_DOUBLE_EQ(r.round_duration_s, max_latency);
   }
@@ -264,14 +265,14 @@ TEST(Engine, LatencyJitterIsDeterministicAndBounded) {
   cfg.latency_jitter_sigma = 0.2;
   FederatedTrainer trainer(fed, tiny_model_factory(), cfg);
   // Deterministic: the same (epoch, client) always yields the same value.
-  EXPECT_DOUBLE_EQ(trainer.client_latency_at(1, 3),
-                   trainer.client_latency_at(1, 3));
+  EXPECT_DOUBLE_EQ(trainer.population().client_latency_at(1, 3),
+                   trainer.population().client_latency_at(1, 3));
   // Varies across epochs and stays positive.
   bool varies = false;
   for (std::size_t e = 0; e < 10; ++e) {
-    const double l = trainer.client_latency_at(1, e);
+    const double l = trainer.population().client_latency_at(1, e);
     EXPECT_GT(l, 0.0);
-    varies |= l != trainer.client_latency(1);
+    varies |= l != trainer.population().client_latency(1);
   }
   EXPECT_TRUE(varies);
 
@@ -279,8 +280,8 @@ TEST(Engine, LatencyJitterIsDeterministicAndBounded) {
   cfg.latency_jitter_sigma = 0.0;
   FederatedTrainer no_jitter(fed, tiny_model_factory(), cfg);
   for (std::size_t e = 0; e < 5; ++e) {
-    EXPECT_DOUBLE_EQ(no_jitter.client_latency_at(2, e),
-                     no_jitter.client_latency(2));
+    EXPECT_DOUBLE_EQ(no_jitter.population().client_latency_at(2, e),
+                     no_jitter.population().client_latency(2));
   }
 }
 

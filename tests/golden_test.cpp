@@ -192,8 +192,7 @@ TEST_F(GoldenEventLog, SyncLoopbackGrouped) {
   engine.deadline_quantile = 0.75;
   fl::LoopbackCluster cluster(fed_, core::default_model_factory(fed_, 99), 4);
   fl::TransportDispatcherConfig dispatch;
-  dispatch.work.local = engine.local;
-  dispatch.work.compression = engine.compression;
+  dispatch.work = fl::local_work(engine);
   dispatch.recv_timeout_ms = 60000;
   dispatch.agg_groups = 2;
   fl::TransportDispatcher dispatcher(cluster.server_transports(), dispatch);

@@ -259,6 +259,53 @@ TEST(FrameParser, HeaderDamageIsFatal) {
 // ---------------------------------------------------------------------------
 // Message codecs
 
+TEST(NetCodec, TrainJobMappingRoundTripsJobAndWork) {
+  // EngineConfig -> LocalWorkConfig -> TrainJob frame -> worker's job and
+  // recipe: what the worker trains must be exactly what the engine meant.
+  fl::EngineConfig engine;
+  engine.local.epochs = 3;
+  engine.local.batch_size = 16;
+  engine.local.sgd.learning_rate = 0.05;
+  engine.local.sgd.momentum = 0.9;
+  engine.local.sgd.weight_decay = 1e-4;
+  engine.algorithm = fl::LocalAlgorithm::FedProx;
+  engine.fedprox_mu = 0.03;
+  engine.compression.kind = fl::CompressionKind::TopK;
+  engine.compression.topk_fraction = 0.25;
+  engine.compression.error_feedback = false;
+  const fl::LocalWorkConfig work = fl::local_work(engine);
+  fl::TrainJobSpec job;
+  job.slot = 0;
+  job.client_id = 9;
+  job.epoch = 41;
+  job.rng_seed = 0xFEEDFACECAFEBEEFull;
+  job.work_fraction = 0.4;
+  const std::vector<float> params = {1.0f, -2.5f, 0.0f};
+
+  const auto frame = net::encode_train_job(
+      fl::make_train_job_msg(job, work, params, obs::TraceContext{}));
+  const auto msg = net::decode_train_job(frame);
+  EXPECT_EQ(msg.params, params);
+  const auto [back_job, back_work] = fl::from_train_job_msg(msg);
+  EXPECT_EQ(back_job.slot, job.slot);
+  EXPECT_EQ(back_job.client_id, job.client_id);
+  EXPECT_EQ(back_job.epoch, job.epoch);
+  EXPECT_EQ(back_job.rng_seed, job.rng_seed);
+  EXPECT_EQ(back_job.work_fraction, job.work_fraction);
+  EXPECT_EQ(back_work.local.epochs, work.local.epochs);
+  EXPECT_EQ(back_work.local.batch_size, work.local.batch_size);
+  EXPECT_EQ(back_work.local.sgd.learning_rate, work.local.sgd.learning_rate);
+  EXPECT_EQ(back_work.local.sgd.momentum, work.local.sgd.momentum);
+  EXPECT_EQ(back_work.local.sgd.weight_decay, work.local.sgd.weight_decay);
+  EXPECT_TRUE(back_work.fedprox);
+  EXPECT_EQ(back_work.fedprox_mu, work.fedprox_mu);
+  EXPECT_EQ(back_work.compression.kind, work.compression.kind);
+  EXPECT_EQ(back_work.compression.topk_fraction,
+            work.compression.topk_fraction);
+  EXPECT_EQ(back_work.compression.error_feedback,
+            work.compression.error_feedback);
+}
+
 TEST(NetCodec, TrainJobRoundTripsEveryField) {
   net::TrainJobMsg msg;
   msg.epoch = 41;
@@ -930,10 +977,7 @@ fl::EngineConfig make_engine(std::size_t rounds = 6) {
 fl::TransportDispatcherConfig dispatch_config_for(
     const fl::EngineConfig& engine) {
   fl::TransportDispatcherConfig config;
-  config.work.local = engine.local;
-  config.work.fedprox = engine.algorithm == fl::LocalAlgorithm::FedProx;
-  config.work.fedprox_mu = engine.fedprox_mu;
-  config.work.compression = engine.compression;
+  config.work = fl::local_work(engine);
   config.recv_timeout_ms = 60000;
   return config;
 }

@@ -4,6 +4,7 @@
 // traced-vs-untraced bit-identity guarantee on the training engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -425,6 +426,59 @@ TEST_F(ObsTest, TracedRunMatchesUntraced) {
     EXPECT_EQ(a.global_loss, b.global_loss) << "round " << i;
     EXPECT_EQ(a.selected, b.selected) << "round " << i;
   }
+}
+
+TEST_F(ObsTest, RoundPhaseSpansPartitionTheRound) {
+  // Each phase span opens and closes with its PhaseTimings lap, so the
+  // trace bills time exactly as the round record does: selection, training,
+  // aggregation and evaluation are siblings under `round`, never nested in
+  // one another, and together fit inside it.
+  const auto fed = obs_fed();
+  constexpr std::size_t kRounds = 4;
+  obs::set_trace_enabled(true);
+  run_once(fed, kRounds);
+  obs::set_trace_enabled(false);
+  const auto events = obs::TraceBuffer::global().snapshot();
+
+  const std::vector<std::string> phases = {"selection", "local_train_round",
+                                           "aggregate", "evaluate"};
+  std::size_t rounds = 0;
+  for (const auto& round : events) {
+    if (std::string(round.name) != "round") continue;
+    ++rounds;
+    std::vector<const obs::TraceEvent*> children;
+    for (const auto& e : events) {
+      const std::string name = e.name;
+      if (std::find(phases.begin(), phases.end(), name) == phases.end()) {
+        continue;
+      }
+      if (e.round != round.round) continue;
+      EXPECT_EQ(e.parent_id, round.span_id)
+          << name << " is not a direct child of round " << round.round;
+      children.push_back(&e);
+    }
+    // selection, training and aggregation every round; evaluate on round 0
+    // (eval_every = 3) and on the last one.
+    const bool eval_round = round.round % 3 == 0 ||
+                            round.round + 1 == static_cast<std::int64_t>(kRounds);
+    EXPECT_EQ(children.size(), eval_round ? 4u : 3u) << "round " << round.round;
+    std::sort(children.begin(), children.end(),
+              [](const obs::TraceEvent* a, const obs::TraceEvent* b) {
+                return a->ts_ns < b->ts_ns;
+              });
+    std::uint64_t summed = 0;
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      summed += children[i]->dur_ns;
+      EXPECT_GE(children[i]->ts_ns, round.ts_ns);
+      if (i + 1 < children.size()) {
+        EXPECT_LE(children[i]->ts_ns + children[i]->dur_ns,
+                  children[i + 1]->ts_ns)
+            << children[i]->name << " overlaps " << children[i + 1]->name;
+      }
+    }
+    EXPECT_LE(summed, round.dur_ns) << "round " << round.round;
+  }
+  EXPECT_EQ(rounds, kRounds);
 }
 
 // ---------------------------------------------------------------------------
