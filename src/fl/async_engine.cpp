@@ -72,7 +72,7 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
     std::size_t client;
     std::size_t base_version;          // aggregation count at dispatch
     std::vector<float> delta;          // local - global_at_dispatch
-    double loss;
+    double loss = 0.0;
     bool crashed = false;              // mid-round crash: no update arrives
   };
   struct Later {
@@ -116,7 +116,6 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
     Event event;
     event.client = id;
     event.base_version = version;
-    event.loss = config_.initial_loss;
     // The fork is consumed even for crashed dispatches, keeping the
     // training streams aligned across fault configurations.
     const TrainJobSpec job{

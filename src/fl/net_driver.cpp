@@ -142,10 +142,12 @@ void TransportDispatcher::board_note_heard(std::size_t w) {
 }
 
 void TransportDispatcher::fail_front(std::size_t w, FailureKind kind,
+                                     std::span<const TrainJobSpec> jobs,
                                      std::vector<TrainOutcome>& outcomes) {
   auto& queue = outstanding_[w];
   if (queue.empty()) return;
-  TrainOutcome& out = outcomes[queue.front()];
+  // The queue holds job indices; outcomes are indexed by dispatch slot.
+  TrainOutcome& out = outcomes[jobs[queue.front()].slot];
   out.delivered = false;
   out.failure = kind;
   queue.pop_front();
@@ -153,8 +155,26 @@ void TransportDispatcher::fail_front(std::size_t w, FailureKind kind,
 }
 
 void TransportDispatcher::fail_all(std::size_t w, FailureKind kind,
+                                   std::span<const TrainJobSpec> jobs,
                                    std::vector<TrainOutcome>& outcomes) {
-  while (!outstanding_[w].empty()) fail_front(w, kind, outcomes);
+  while (!outstanding_[w].empty()) fail_front(w, kind, jobs, outcomes);
+}
+
+bool TransportDispatcher::absorb_recv(std::size_t w,
+                                      net::TransportStatus status,
+                                      const net::Frame& frame,
+                                      std::span<const TrainJobSpec> jobs,
+                                      const std::vector<float>& global_params,
+                                      std::vector<TrainOutcome>& outcomes) {
+  if (status == net::TransportStatus::Ok) {
+    board_note_heard(w);
+    handle_frame(w, frame, jobs, global_params, outcomes);
+    return true;
+  }
+  if (status != net::TransportStatus::Corrupt) return false;
+  board_note_heard(w);
+  fail_front(w, FailureKind::CorruptUpdate, jobs, outcomes);
+  return true;
 }
 
 bool TransportDispatcher::handle_frame(std::size_t w, const net::Frame& frame,
@@ -185,7 +205,7 @@ bool TransportDispatcher::handle_frame(std::size_t w, const net::Frame& frame,
     // version-skewed peer): charge it like wire damage.
     HACCS_WARN << "undecodable ClientUpdate from " << workers_[w]->peer()
                << ": " << e.what();
-    fail_front(w, FailureKind::CorruptUpdate, outcomes);
+    fail_front(w, FailureKind::CorruptUpdate, jobs, outcomes);
     return true;
   }
   // Workers answer strictly FIFO, so this is normally the queue front; the
@@ -287,11 +307,9 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const TrainJobSpec& job = jobs[j];
     const std::size_t w = job.client_id % workers_.size();
-    const net::TrainJobMsg msg =
-        make_train_job_msg(job, config_.work, global_params, trace_ctx);
-
-    auto status =
-        workers_[w]->send(net::encode_train_job(msg), config_.send_timeout_ms);
+    const net::Frame frame = net::encode_train_job(
+        make_train_job_msg(job, config_.work, global_params, trace_ctx));
+    auto status = workers_[w]->send(frame, config_.send_timeout_ms);
     if (status == net::TransportStatus::Closed && config_.reacquire &&
         !dead_[w]) {
       // The transport died between rounds (or mid-fan-out): try one
@@ -301,8 +319,7 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
         ServingMetrics::get().reconnects.inc();
         HACCS_INFO << "dispatcher: worker " << w << " reacquired mid-round ("
                    << fresh->peer() << ")";
-        status = workers_[w]->send(net::encode_train_job(msg),
-                                   config_.send_timeout_ms);
+        status = workers_[w]->send(frame, config_.send_timeout_ms);
       }
     }
     if (status == net::TransportStatus::Ok) {
@@ -317,21 +334,11 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
                         : FailureKind::Crash;
       sync_board(w);
     }
-    for (;;) {
-      if (outstanding_[w].empty()) break;
-      net::Frame ready;
-      const auto rs = workers_[w]->recv(&ready, 0);
-      if (rs == net::TransportStatus::Ok) {
-        board_note_heard(w);
-        handle_frame(w, ready, jobs, global_params, outcomes);
-        continue;
-      }
-      if (rs == net::TransportStatus::Corrupt) {
-        board_note_heard(w);
-        fail_front(w, FailureKind::CorruptUpdate, outcomes);
-        continue;
-      }
-      break;  // Timeout = nothing ready yet; Closed is settled below
+    // Timeout = nothing ready yet; Closed is settled below.
+    net::Frame ready;
+    while (!outstanding_[w].empty() &&
+           absorb_recv(w, workers_[w]->recv(&ready, 0), ready, jobs,
+                       global_params, outcomes)) {
     }
   }
 
@@ -357,24 +364,17 @@ void TransportDispatcher::collect_serial(std::span<const TrainJobSpec> jobs,
     while (!outstanding_[w].empty()) {
       net::Frame frame;
       const auto status = workers_[w]->recv(&frame, config_.recv_timeout_ms);
-      if (status == net::TransportStatus::Ok) {
-        board_note_heard(w);
-        handle_frame(w, frame, jobs, global_params, outcomes);
-        continue;
-      }
-      if (status == net::TransportStatus::Corrupt) {
-        board_note_heard(w);
-        fail_front(w, FailureKind::CorruptUpdate, outcomes);
+      if (absorb_recv(w, status, frame, jobs, global_params, outcomes)) {
         continue;
       }
       if (status == net::TransportStatus::Timeout) {
         HACCS_WARN << "recv timeout from " << workers_[w]->peer() << "; "
                    << outstanding_[w].size() << " job(s) abandoned";
-        fail_all(w, FailureKind::Timeout, outcomes);
+        fail_all(w, FailureKind::Timeout, jobs, outcomes);
       } else {
         HACCS_WARN << "transport to " << workers_[w]->peer() << " closed; "
                    << outstanding_[w].size() << " job(s) abandoned";
-        fail_all(w, FailureKind::Crash, outcomes);
+        fail_all(w, FailureKind::Crash, jobs, outcomes);
       }
       break;
     }
@@ -417,7 +417,7 @@ void TransportDispatcher::collect_serving(
                  << config_.recv_timeout_ms << " ms) exhausted; "
                  << outstanding_total() << " job(s) abandoned";
       for (std::size_t w = 0; w < workers_.size(); ++w) {
-        fail_all(w, FailureKind::Timeout, outcomes);
+        fail_all(w, FailureKind::Timeout, jobs, outcomes);
       }
       break;
     }
@@ -439,7 +439,7 @@ void TransportDispatcher::collect_serving(
                      << jobs.size() << ") reached; abandoning " << abandoned
                      << " straggler job(s)";
           for (std::size_t w = 0; w < workers_.size(); ++w) {
-            fail_all(w, FailureKind::Timeout, outcomes);
+            fail_all(w, FailureKind::Timeout, jobs, outcomes);
           }
         }
         break;
@@ -451,38 +451,27 @@ void TransportDispatcher::collect_serving(
       if (outstanding_[w].empty()) continue;
       net::Frame frame;
       const auto status = workers_[w]->recv(&frame, kServeSliceMs);
-      switch (status) {
-        case net::TransportStatus::Ok:
-          last_heard[w] = net::steady_ms();
-          board_note_heard(w);
-          handle_frame(w, frame, jobs, global_params, outcomes);
-          break;
-        case net::TransportStatus::Corrupt:
-          // A damaged frame is still proof of life.
-          last_heard[w] = net::steady_ms();
-          board_note_heard(w);
-          fail_front(w, FailureKind::CorruptUpdate, outcomes);
-          break;
-        case net::TransportStatus::Closed:
-          HACCS_WARN << "transport to " << workers_[w]->peer() << " closed; "
-                     << outstanding_[w].size() << " job(s) abandoned";
-          fail_all(w, FailureKind::Crash, outcomes);
-          set_dead(w, true);
-          sync_board(w);
-          break;
-        case net::TransportStatus::Timeout:
-          if (config_.heartbeat_timeout_ms > 0 &&
-              net::steady_ms() - last_heard[w] > config_.heartbeat_timeout_ms) {
-            metrics.heartbeats_missed.inc();
-            HACCS_WARN << "worker " << w << " (" << workers_[w]->peer()
-                       << ") silent for > " << config_.heartbeat_timeout_ms
-                       << " ms; declaring dead, "
-                       << outstanding_[w].size() << " job(s) abandoned";
-            fail_all(w, FailureKind::Crash, outcomes);
-            set_dead(w, true);
-            sync_board(w);
-          }
-          break;
+      if (absorb_recv(w, status, frame, jobs, global_params, outcomes)) {
+        last_heard[w] = net::steady_ms();  // a damaged frame counts too
+        continue;
+      }
+      if (status == net::TransportStatus::Closed) {
+        HACCS_WARN << "transport to " << workers_[w]->peer() << " closed; "
+                   << outstanding_[w].size() << " job(s) abandoned";
+        fail_all(w, FailureKind::Crash, jobs, outcomes);
+        set_dead(w, true);
+        sync_board(w);
+      } else if (config_.heartbeat_timeout_ms > 0 &&
+                 net::steady_ms() - last_heard[w] >
+                     config_.heartbeat_timeout_ms) {
+        metrics.heartbeats_missed.inc();
+        HACCS_WARN << "worker " << w << " (" << workers_[w]->peer()
+                   << ") silent for > " << config_.heartbeat_timeout_ms
+                   << " ms; declaring dead, " << outstanding_[w].size()
+                   << " job(s) abandoned";
+        fail_all(w, FailureKind::Crash, jobs, outcomes);
+        set_dead(w, true);
+        sync_board(w);
       }
     }
   }

@@ -166,9 +166,19 @@ class TransportDispatcher final : public RoundDispatcher {
                     std::span<const TrainJobSpec> jobs,
                     const std::vector<float>& global_params,
                     std::vector<TrainOutcome>& outcomes);
+  /// Settles one recv() result from worker `w`: a frame goes to
+  /// handle_frame, a damaged one fails the oldest outstanding job, and
+  /// either proves the worker alive. False for Timeout and Closed.
+  bool absorb_recv(std::size_t w, net::TransportStatus status,
+                   const net::Frame& frame, std::span<const TrainJobSpec> jobs,
+                   const std::vector<float>& global_params,
+                   std::vector<TrainOutcome>& outcomes);
+  /// Fails worker `w`'s oldest outstanding job (its slot's outcome).
   void fail_front(std::size_t w, FailureKind kind,
+                  std::span<const TrainJobSpec> jobs,
                   std::vector<TrainOutcome>& outcomes);
   void fail_all(std::size_t w, FailureKind kind,
+                std::span<const TrainJobSpec> jobs,
                 std::vector<TrainOutcome>& outcomes);
 
   /// Mirrors worker `w`'s queue depth / liveness onto the status board

@@ -483,6 +483,31 @@ TEST(ServingDispatcher, QuorumCommitsWithoutStragglers) {
   EXPECT_EQ(outcomes[1].failure, fl::FailureKind::Timeout);
 }
 
+TEST(ServingDispatcher, AbandonedJobsFailTheirOwnSlots) {
+  // The engine sends no job for slots it already settled (a crash or a
+  // missed deadline), so job indices and slots diverge. A silent worker's
+  // abandoned jobs must fail their own slots and leave the settled ones be.
+  auto silent = net::make_loopback_pair({});
+  fl::TransportDispatcherConfig config;
+  config.recv_timeout_ms = 50;
+  fl::TransportDispatcher dispatcher({silent.a.get()}, config);
+
+  const std::vector<fl::TrainJobSpec> jobs = {job_for(1, 0), job_for(3, 1)};
+  const std::vector<float> params = {1.0f};
+  std::vector<fl::TrainOutcome> outcomes(4);
+  outcomes[0].failure = fl::FailureKind::Crash;
+  outcomes[2].failure = fl::FailureKind::Crash;
+  dispatcher.execute(jobs, params, outcomes);
+
+  for (const std::size_t slot : {1, 3}) {
+    EXPECT_FALSE(outcomes[slot].delivered) << "slot " << slot;
+    EXPECT_EQ(outcomes[slot].failure, fl::FailureKind::Timeout)
+        << "slot " << slot;
+  }
+  EXPECT_EQ(outcomes[0].failure, fl::FailureKind::Crash);
+  EXPECT_EQ(outcomes[2].failure, fl::FailureKind::Crash);
+}
+
 TEST(ServingDispatcher, SilentWorkerIsEscalatedToCrash) {
   auto fast = net::make_loopback_pair({});
   auto silent = net::make_loopback_pair({});
