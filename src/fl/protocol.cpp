@@ -60,9 +60,10 @@ std::pair<TrainJobSpec, LocalWorkConfig> from_train_job_msg(
                         .weight_decay = msg.weight_decay}},
       .fedprox = msg.algorithm != 0,
       .fedprox_mu = msg.fedprox_mu,
-      .compression = {.kind = static_cast<CompressionKind>(msg.compression_kind),
-                      .topk_fraction = msg.topk_fraction,
-                      .error_feedback = msg.error_feedback != 0}};
+      .compression = {
+          .kind = static_cast<CompressionKind>(msg.compression_kind),
+          .topk_fraction = msg.topk_fraction,
+          .error_feedback = msg.error_feedback != 0}};
   return {job, work};
 }
 

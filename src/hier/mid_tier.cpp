@@ -108,9 +108,10 @@ void MidTierAggregator::broadcast_downstream(const net::Frame& frame) {
 }
 
 bool MidTierAggregator::handshake(net::Transport& upstream) {
-  const std::int64_t deadline = config_.handshake_timeout_ms > 0
-                                    ? net::steady_ms() + config_.handshake_timeout_ms
-                                    : -1;
+  const std::int64_t deadline =
+      config_.handshake_timeout_ms > 0
+          ? net::steady_ms() + config_.handshake_timeout_ms
+          : -1;
   auto complete = [&] {
     for (std::uint64_t conn : conn_of_worker_) {
       if (conn == 0) return false;
@@ -152,9 +153,10 @@ bool MidTierAggregator::handshake(net::Transport& upstream) {
 
 bool MidTierAggregator::run(net::Transport& upstream) {
   if (!handshake(upstream)) return false;
-  std::int64_t next_heartbeat = config_.heartbeat_interval_ms > 0
-                                    ? net::steady_ms() + config_.heartbeat_interval_ms
-                                    : -1;
+  std::int64_t next_heartbeat =
+      config_.heartbeat_interval_ms > 0
+          ? net::steady_ms() + config_.heartbeat_interval_ms
+          : -1;
   for (;;) {
     bool busy = false;
     // Upstream: drain whatever the root has queued.

@@ -459,8 +459,9 @@ TEST_F(ObsTest, RoundPhaseSpansPartitionTheRound) {
     }
     // selection, training and aggregation every round; evaluate on round 0
     // (eval_every = 3) and on the last one.
-    const bool eval_round = round.round % 3 == 0 ||
-                            round.round + 1 == static_cast<std::int64_t>(kRounds);
+    const bool eval_round =
+        round.round % 3 == 0 ||
+        round.round + 1 == static_cast<std::int64_t>(kRounds);
     EXPECT_EQ(children.size(), eval_round ? 4u : 3u) << "round " << round.round;
     std::sort(children.begin(), children.end(),
               [](const obs::TraceEvent* a, const obs::TraceEvent* b) {
