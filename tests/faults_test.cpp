@@ -7,6 +7,8 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/haccs_system.hpp"
@@ -16,6 +18,8 @@
 #include "src/select/oort.hpp"
 #include "src/select/random_selector.hpp"
 #include "src/select/tifl.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/obs.hpp"
 #include "src/sim/faults.hpp"
 
 namespace haccs {
@@ -674,6 +678,73 @@ TEST(HaccsFailure, ReplacementCanBeDisabled) {
   const auto out = selector.select(1, view, 1, rng);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_LT(out[0], 3u);  // no IOU: the fast cluster keeps the slot
+}
+
+TEST(RoundLedger, FailureKindAloneDecidesTheSettlement) {
+  // Records what the ledger reports to the selector.
+  class Recorder final : public fl::ClientSelector {
+   public:
+    std::vector<std::size_t> select(std::size_t,
+                                    const std::vector<fl::ClientRuntimeInfo>&,
+                                    std::size_t, Rng&) override {
+      return {};
+    }
+    void report_result(std::size_t id, double, std::size_t) override {
+      results.push_back(id);
+    }
+    void report_failure(std::size_t id, std::size_t,
+                        fl::FailureKind kind) override {
+      failures.emplace_back(id, kind);
+    }
+    std::string name() const override { return "Recorder"; }
+    std::vector<std::size_t> results;
+    std::vector<std::pair<std::size_t, fl::FailureKind>> failures;
+  };
+  auto counter = [](const char* name) {
+    return obs::Registry::global().counter(name).value();
+  };
+  obs::set_metrics_enabled(true);
+  const auto crashed = counter("clients_crashed_total");
+  const auto late = counter("clients_late_total");
+  const auto rejected = counter("updates_rejected_total");
+
+  Recorder selector;
+  std::vector<fl::ClientRuntimeInfo> view(4);
+  std::vector<sim::CircuitBreaker> breakers(4, sim::CircuitBreaker({}));
+  fl::RoundLedger ledger(selector, view, &breakers);
+  ledger.settle_failure(fl::FailureKind::Crash, 0, 5, 1.5);
+  ledger.settle_failure(fl::FailureKind::Timeout, 1, 5, 2.0);
+  ledger.settle_failure(fl::FailureKind::CorruptUpdate, 2, 5, 0.5);
+  ledger.settle_success(3, 0.7, 5, 1.0);
+
+  EXPECT_EQ(counter("clients_crashed_total"), crashed + 1);
+  EXPECT_EQ(counter("clients_late_total"), late + 1);
+  EXPECT_EQ(counter("updates_rejected_total"), rejected + 1);
+  obs::set_metrics_enabled(false);
+  // A late client is slow, not broken: only crashes and bad updates count
+  // against the breaker.
+  EXPECT_EQ(breakers[0].consecutive_failures(), 1u);
+  EXPECT_EQ(breakers[1].consecutive_failures(), 0u);
+  EXPECT_EQ(breakers[2].consecutive_failures(), 1u);
+  const std::vector<std::pair<std::size_t, fl::FailureKind>> reported = {
+      {0, fl::FailureKind::Crash},
+      {1, fl::FailureKind::Timeout},
+      {2, fl::FailureKind::CorruptUpdate}};
+  EXPECT_EQ(selector.failures, reported);
+  EXPECT_EQ(selector.results, std::vector<std::size_t>{3});
+  EXPECT_DOUBLE_EQ(view[3].last_loss, 0.7);
+  // Only the rejected update and the accepted one arrived as frames.
+  EXPECT_EQ(ledger.frames, 2u);
+  EXPECT_EQ(ledger.observed, (std::vector<double>{1.5, 2.0, 0.5, 1.0}));
+
+  const fl::RoundRecord record = ledger.take();
+  EXPECT_EQ(record.crashed, std::vector<std::size_t>{0});
+  EXPECT_EQ(record.late, std::vector<std::size_t>{1});
+  EXPECT_EQ(record.rejected, std::vector<std::size_t>{2});
+  EXPECT_EQ(record.selected, std::vector<std::size_t>{3});
+  EXPECT_EQ(ledger.frames, 0u);
+  EXPECT_TRUE(ledger.observed.empty());
+  EXPECT_EQ(ledger.record.wasted(), 0u);
 }
 
 TEST(ReliabilityTracker, FloorsOnFailureRecoversHalfTheGapAndChecksLoad) {
