@@ -79,7 +79,8 @@ void print_usage() {
       "(default haccs-py)\n"
       "  --rho=R              Eq. 7 trade-off (default 0.5)\n"
       "  --accept-timeout-ms=T  per-worker accept deadline (default 30000)\n"
-      "  --io-timeout-ms=T    per-frame send/recv deadline (default 120000)\n"
+      "  --io-timeout-ms=T    per-frame send deadline; whole-round "
+      "collection budget (default 120000)\n"
       "  --summary-json=F     machine-readable run summary\n"
       "serving: --checkpoint=F  crash-resume checkpoint file\n"
       "  --checkpoint-every=N  persist every N rounds (default 1)\n"
@@ -595,8 +596,7 @@ int main(int argc, char** argv) try {
   dispatch_config.agg_groups = agg_groups;
   dispatch_config.max_update_norm = engine_config.max_update_norm;
   // Liveness mode implies fleet management: dead workers may reconnect and
-  // reclaim their slot. With the default flags the dispatcher stays on the
-  // original strictly-serial path, byte-identical to earlier releases.
+  // reclaim their slot. Without it a dead worker stays dead for the run.
   if (fleet && (heartbeat_timeout_ms > 0 || quorum < 1.0)) {
     dispatch_config.reacquire = [&fleet](std::size_t w) {
       return fleet->reacquire(w);
@@ -700,16 +700,11 @@ int main(int argc, char** argv) try {
   std::optional<fl::TransportDispatcher> flat_dispatcher;
   std::optional<hier::TreeDispatcher> tree_dispatcher;
   if (num_aggs > 0) {
+    // The serving-root settings are the flat dispatcher's; the norm check
+    // runs at the mid tier.
     hier::TreeDispatcherConfig tree_config;
-    tree_config.work = work;
+    static_cast<fl::ServingRootConfig&>(tree_config) = dispatch_config;
     tree_config.num_workers = num_workers;
-    tree_config.send_timeout_ms = io_timeout_ms;
-    tree_config.recv_timeout_ms = io_timeout_ms;
-    tree_config.heartbeat_timeout_ms = heartbeat_timeout_ms;
-    tree_config.max_update_norm = engine_config.max_update_norm;
-    if (obs::trace_enabled()) tree_config.on_trace_shard = collect_shard;
-    if (status_port >= 0) tree_config.status_board = &status_board;
-    if (live_tracker) tree_config.on_liveness = on_liveness;
     tree_dispatcher.emplace(std::move(peer_ptrs), std::move(tree_config));
     engine_config.dispatcher = &*tree_dispatcher;
   } else {

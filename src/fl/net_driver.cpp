@@ -18,10 +18,6 @@ namespace haccs::fl {
 
 namespace {
 
-/// Per-worker poll slice in the serving collection loop: short enough that
-/// one silent worker cannot starve the others' liveness checks.
-constexpr int kServeSliceMs = 10;
-
 struct ServingMetrics {
   obs::Counter& heartbeats_missed =
       obs::Registry::global().counter("heartbeats_missed_total");
@@ -69,11 +65,130 @@ std::string ServingStatusBoard::to_json() const {
 }
 
 // ---------------------------------------------------------------------------
+// PeerLiveness
+
+PeerLiveness::PeerLiveness(ServingRootConfig config, std::size_t peers)
+    : config_(std::move(config)), dead_(peers, false), last_heard_(peers, 0) {}
+
+ServingStatusBoard::Worker* PeerLiveness::board_row(std::size_t p) const {
+  ServingStatusBoard* board = config_.status_board;
+  return board && p < board->num_workers() ? &board->worker(p) : nullptr;
+}
+
+void PeerLiveness::set_dead(std::size_t p, bool dead) {
+  if (dead_[p] == dead) return;
+  dead_[p] = dead;
+  mirror_alive(p);
+  if (config_.on_liveness) config_.on_liveness(p, !dead);
+}
+
+void PeerLiveness::mirror_alive(std::size_t p) const {
+  if (auto* row = board_row(p)) {
+    row->alive.store(!dead_[p], std::memory_order_relaxed);
+  }
+}
+
+void PeerLiveness::begin_round(std::span<const TrainJobSpec> jobs) {
+  start_collection();
+  ServingStatusBoard* board = config_.status_board;
+  if (!board) return;
+  board->round.store(jobs.empty() ? 0 : jobs.front().epoch,
+                     std::memory_order_relaxed);
+  board->dispatched.store(jobs.size(), std::memory_order_relaxed);
+  board->delivered.store(0, std::memory_order_relaxed);
+  board->collecting.store(true, std::memory_order_relaxed);
+  for (std::size_t p = 0; p < dead_.size(); ++p) mirror_alive(p);
+}
+
+void PeerLiveness::start_collection() {
+  start_ = net::steady_ms();
+  std::fill(last_heard_.begin(), last_heard_.end(), start_);
+}
+
+void PeerLiveness::end_round() {
+  if (ServingStatusBoard* board = config_.status_board) {
+    board->collecting.store(false, std::memory_order_relaxed);
+  }
+}
+
+bool PeerLiveness::budget_spent() const {
+  if (config_.recv_timeout_ms < 0 ||
+      net::steady_ms() - start_ <= config_.recv_timeout_ms) {
+    return false;
+  }
+  HACCS_WARN << "round collection budget (" << config_.recv_timeout_ms
+             << " ms) exhausted";
+  return true;
+}
+
+FailureKind PeerLiveness::send_failure(std::size_t p,
+                                       net::TransportStatus status) {
+  if (status == net::TransportStatus::Closed) set_dead(p, true);
+  return status == net::TransportStatus::Timeout ? FailureKind::Timeout
+                                                 : FailureKind::Crash;
+}
+
+void PeerLiveness::note_delivered(std::size_t p) {
+  if (ServingStatusBoard* board = config_.status_board) {
+    board->delivered.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (auto* row = board_row(p)) {
+    row->updates.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void PeerLiveness::heard(std::size_t p) {
+  last_heard_[p] = net::steady_ms();
+  if (auto* row = board_row(p)) {
+    row->last_heard_ms.store(last_heard_[p], std::memory_order_relaxed);
+  }
+}
+
+PeerLiveness::Event PeerLiveness::poll(std::size_t p, net::Transport& link,
+                                       net::Frame* frame, int slice_ms) {
+  switch (link.recv(frame, slice_ms)) {
+    case net::TransportStatus::Ok:
+      heard(p);
+      if (frame->type != net::MessageType::TraceShard) return Event::Frame;
+      // A peer's span buffer riding home ahead of its next update (§5i).
+      if (config_.on_trace_shard) {
+        try {
+          config_.on_trace_shard(net::decode_trace_shard(*frame));
+        } catch (const net::WireError& e) {
+          HACCS_WARN << "undecodable TraceShard from " << link.peer() << ": "
+                     << e.what();
+        }
+      }
+      return Event::Shard;
+    case net::TransportStatus::Corrupt:
+      heard(p);
+      return Event::Corrupt;
+    case net::TransportStatus::Closed:
+      HACCS_WARN << "transport to peer " << p << " (" << link.peer()
+                 << ") closed";
+      break;
+    case net::TransportStatus::Timeout:
+      if (config_.heartbeat_timeout_ms <= 0 ||
+          net::steady_ms() - last_heard_[p] <= config_.heartbeat_timeout_ms) {
+        return Event::Quiet;
+      }
+      ServingMetrics::get().heartbeats_missed.inc();
+      HACCS_WARN << "peer " << p << " (" << link.peer() << ") silent for > "
+                 << config_.heartbeat_timeout_ms << " ms; declaring dead";
+      break;
+  }
+  set_dead(p, true);
+  return Event::Lost;
+}
+
+// ---------------------------------------------------------------------------
 // TransportDispatcher
 
 TransportDispatcher::TransportDispatcher(std::vector<net::Transport*> workers,
                                          TransportDispatcherConfig config)
-    : workers_(std::move(workers)), config_(std::move(config)) {
+    : workers_(std::move(workers)),
+      config_(std::move(config)),
+      liveness_(config_, workers_.size()) {
   if (workers_.empty()) {
     throw std::invalid_argument("TransportDispatcher: no workers");
   }
@@ -88,18 +203,18 @@ TransportDispatcher::TransportDispatcher(std::vector<net::Transport*> workers,
         "TransportDispatcher: agg_groups must evenly divide the worker count");
   }
   outstanding_.resize(workers_.size());
-  dead_.assign(workers_.size(), false);
-}
-
-void TransportDispatcher::set_dead(std::size_t w, bool dead) {
-  if (dead_[w] == dead) return;
-  dead_[w] = dead;
-  if (config_.on_liveness) config_.on_liveness(w, !dead);
 }
 
 std::size_t TransportDispatcher::group_of(std::size_t client_id) const {
   return (client_id % workers_.size()) /
          (workers_.size() / config_.agg_groups);
+}
+
+std::size_t TransportDispatcher::quorum_target(std::size_t dispatched) const {
+  return config_.quorum_fraction < 1.0
+             ? static_cast<std::size_t>(std::ceil(
+                   config_.quorum_fraction * static_cast<double>(dispatched)))
+             : dispatched;
 }
 
 void TransportDispatcher::fold_groups(std::span<const TrainJobSpec> jobs,
@@ -127,17 +242,8 @@ void TransportDispatcher::fold_groups(std::span<const TrainJobSpec> jobs,
 }
 
 void TransportDispatcher::sync_board(std::size_t w) {
-  ServingStatusBoard* board = config_.status_board;
-  if (!board) return;
-  auto& worker = board->worker(w);
-  worker.outstanding.store(outstanding_[w].size(), std::memory_order_relaxed);
-  worker.alive.store(!dead_[w], std::memory_order_relaxed);
-}
-
-void TransportDispatcher::board_note_heard(std::size_t w) {
-  if (ServingStatusBoard* board = config_.status_board) {
-    board->worker(w).last_heard_ms.store(net::steady_ms(),
-                                         std::memory_order_relaxed);
+  if (auto* row = liveness_.board_row(w)) {
+    row->outstanding.store(outstanding_[w].size(), std::memory_order_relaxed);
   }
 }
 
@@ -160,43 +266,35 @@ void TransportDispatcher::fail_all(std::size_t w, FailureKind kind,
   while (!outstanding_[w].empty()) fail_front(w, kind, jobs, outcomes);
 }
 
-bool TransportDispatcher::absorb_recv(std::size_t w,
-                                      net::TransportStatus status,
-                                      const net::Frame& frame,
+bool TransportDispatcher::poll_worker(std::size_t w, int slice_ms,
                                       std::span<const TrainJobSpec> jobs,
                                       const std::vector<float>& global_params,
                                       std::vector<TrainOutcome>& outcomes) {
-  if (status == net::TransportStatus::Ok) {
-    board_note_heard(w);
-    handle_frame(w, frame, jobs, global_params, outcomes);
-    return true;
+  net::Frame frame;
+  switch (liveness_.poll(w, *workers_[w], &frame, slice_ms)) {
+    case PeerLiveness::Event::Frame:
+      handle_frame(w, frame, jobs, global_params, outcomes);
+      return true;
+    case PeerLiveness::Event::Corrupt:
+      fail_front(w, FailureKind::CorruptUpdate, jobs, outcomes);
+      return true;
+    case PeerLiveness::Event::Shard:
+      return true;
+    case PeerLiveness::Event::Lost:
+      fail_all(w, FailureKind::Crash, jobs, outcomes);
+      return false;
+    case PeerLiveness::Event::Quiet:
+      break;
   }
-  if (status != net::TransportStatus::Corrupt) return false;
-  board_note_heard(w);
-  fail_front(w, FailureKind::CorruptUpdate, jobs, outcomes);
-  return true;
+  return false;
 }
 
-bool TransportDispatcher::handle_frame(std::size_t w, const net::Frame& frame,
+void TransportDispatcher::handle_frame(std::size_t w, const net::Frame& frame,
                                        std::span<const TrainJobSpec> jobs,
                                        const std::vector<float>& global_params,
                                        std::vector<TrainOutcome>& outcomes) {
-  if (frame.type == net::MessageType::TraceShard) {
-    // A worker's span buffer riding home ahead of its next update (§5i).
-    if (config_.on_trace_shard) {
-      try {
-        config_.on_trace_shard(net::decode_trace_shard(frame));
-      } catch (const net::WireError& e) {
-        HACCS_WARN << "undecodable TraceShard from " << workers_[w]->peer()
-                   << ": " << e.what();
-      }
-    }
-    return false;
-  }
-  if (frame.type != net::MessageType::ClientUpdate) {
-    // Heartbeats and other control traffic are not update settlements.
-    return false;
-  }
+  // Heartbeats and other control traffic are not update settlements.
+  if (frame.type != net::MessageType::ClientUpdate) return;
   net::ClientUpdateMsg msg;
   try {
     msg = net::decode_client_update(frame);
@@ -206,7 +304,7 @@ bool TransportDispatcher::handle_frame(std::size_t w, const net::Frame& frame,
     HACCS_WARN << "undecodable ClientUpdate from " << workers_[w]->peer()
                << ": " << e.what();
     fail_front(w, FailureKind::CorruptUpdate, jobs, outcomes);
-    return true;
+    return;
   }
   // Workers answer strictly FIFO, so this is normally the queue front; the
   // search keeps a reordering (or duplicated) peer from mis-settling jobs.
@@ -216,15 +314,16 @@ bool TransportDispatcher::handle_frame(std::size_t w, const net::Frame& frame,
         return jobs[slot].client_id == msg.client_id &&
                jobs[slot].epoch == msg.epoch;
       });
-  if (it == queue.end()) return false;  // stale or duplicate — drop
+  if (it == queue.end()) return;  // stale or duplicate — drop
   const std::size_t job_index = *it;
   queue.erase(it);
+  sync_board(w);
 
   TrainOutcome& out = outcomes[jobs[job_index].slot];
   if (msg.update.size != global_params.size()) {
     out.delivered = false;
     out.failure = FailureKind::CorruptUpdate;
-    return true;
+    return;
   }
   // Payload semantics (messages.hpp): Dense carries the updated parameters
   // themselves; compressed kinds carry the delta, reconstructed with the
@@ -245,12 +344,7 @@ bool TransportDispatcher::handle_frame(std::size_t w, const net::Frame& frame,
   out.result.average_loss = msg.average_loss;
   out.result.final_loss = msg.final_loss;
   out.result.batches = static_cast<std::size_t>(msg.batches);
-  if (ServingStatusBoard* board = config_.status_board) {
-    board->delivered.fetch_add(1, std::memory_order_relaxed);
-    board->worker(w).updates.fetch_add(1, std::memory_order_relaxed);
-    sync_board(w);
-  }
-  return true;
+  liveness_.note_delivered(w);
 }
 
 void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
@@ -258,20 +352,11 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
                                   std::vector<TrainOutcome>& outcomes) {
   for (auto& queue : outstanding_) queue.clear();
 
+  liveness_.begin_round(jobs);
   if (ServingStatusBoard* board = config_.status_board) {
-    board->round.store(jobs.empty() ? 0 : jobs.front().epoch,
-                       std::memory_order_relaxed);
-    board->dispatched.store(jobs.size(), std::memory_order_relaxed);
-    board->delivered.store(0, std::memory_order_relaxed);
     board->quorum_met.store(false, std::memory_order_relaxed);
-    board->quorum_target.store(
-        config_.quorum_fraction < 1.0
-            ? static_cast<std::uint64_t>(
-                  std::ceil(config_.quorum_fraction *
-                            static_cast<double>(jobs.size())))
-            : jobs.size(),
-        std::memory_order_relaxed);
-    board->collecting.store(true, std::memory_order_relaxed);
+    board->quorum_target.store(quorum_target(jobs.size()),
+                               std::memory_order_relaxed);
     for (std::size_t w = 0; w < workers_.size(); ++w) sync_board(w);
   }
 
@@ -281,19 +366,18 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
   const obs::TraceContext trace_ctx =
       obs::trace_enabled() ? obs::round_context() : obs::TraceContext{};
 
-  // Serving mode: give workers that died in an earlier round a fresh
-  // transport before fanning out, so a reconnected process rejoins the
-  // rotation instead of eating a round of Crash failures.
+  // Give workers that died in an earlier round a fresh transport before
+  // fanning out, so a reconnected process rejoins the rotation instead of
+  // eating a round of Crash failures.
   if (config_.reacquire) {
     for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (!dead_[w]) continue;
+      if (!liveness_.dead(w)) continue;
       if (net::Transport* fresh = config_.reacquire(w)) {
         workers_[w] = fresh;
-        set_dead(w, false);
+        liveness_.set_dead(w, false);
         ServingMetrics::get().reconnects.inc();
-        if (ServingStatusBoard* board = config_.status_board) {
-          board->worker(w).sessions.fetch_add(1, std::memory_order_relaxed);
-          sync_board(w);
+        if (auto* row = liveness_.board_row(w)) {
+          row->sessions.fetch_add(1, std::memory_order_relaxed);
         }
         HACCS_INFO << "dispatcher: worker " << w << " reacquired ("
                    << fresh->peer() << ")";
@@ -311,7 +395,7 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
         make_train_job_msg(job, config_.work, global_params, trace_ctx));
     auto status = workers_[w]->send(frame, config_.send_timeout_ms);
     if (status == net::TransportStatus::Closed && config_.reacquire &&
-        !dead_[w]) {
+        !liveness_.dead(w)) {
       // The transport died between rounds (or mid-fan-out): try one
       // immediate replacement before charging the job.
       if (net::Transport* fresh = config_.reacquire(w)) {
@@ -324,71 +408,27 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
     }
     if (status == net::TransportStatus::Ok) {
       outstanding_[w].push_back(j);
-      sync_board(w);
     } else {
-      if (status == net::TransportStatus::Closed) set_dead(w, true);
       TrainOutcome& out = outcomes[job.slot];
       out.delivered = false;
-      out.failure = status == net::TransportStatus::Timeout
-                        ? FailureKind::Timeout
-                        : FailureKind::Crash;
-      sync_board(w);
+      out.failure = liveness_.send_failure(w, status);
     }
-    // Timeout = nothing ready yet; Closed is settled below.
-    net::Frame ready;
+    sync_board(w);
     while (!outstanding_[w].empty() &&
-           absorb_recv(w, workers_[w]->recv(&ready, 0), ready, jobs,
-                       global_params, outcomes)) {
+           poll_worker(w, 0, jobs, global_params, outcomes)) {
     }
   }
 
-  if (serving_enabled()) {
-    collect_serving(jobs, global_params, outcomes);
-  } else {
-    collect_serial(jobs, global_params, outcomes);
-  }
+  collect(jobs, global_params, outcomes);
 
   if (config_.agg_groups > 0) fold_groups(jobs, global_params, outcomes);
-
-  if (ServingStatusBoard* board = config_.status_board) {
-    board->collecting.store(false, std::memory_order_relaxed);
-    for (std::size_t w = 0; w < workers_.size(); ++w) sync_board(w);
-  }
+  liveness_.end_round();
 }
 
-void TransportDispatcher::collect_serial(std::span<const TrainJobSpec> jobs,
-                                         const std::vector<float>& global_params,
-                                         std::vector<TrainOutcome>& outcomes) {
-  // Collect everything still outstanding, worker by worker.
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    while (!outstanding_[w].empty()) {
-      net::Frame frame;
-      const auto status = workers_[w]->recv(&frame, config_.recv_timeout_ms);
-      if (absorb_recv(w, status, frame, jobs, global_params, outcomes)) {
-        continue;
-      }
-      if (status == net::TransportStatus::Timeout) {
-        HACCS_WARN << "recv timeout from " << workers_[w]->peer() << "; "
-                   << outstanding_[w].size() << " job(s) abandoned";
-        fail_all(w, FailureKind::Timeout, jobs, outcomes);
-      } else {
-        HACCS_WARN << "transport to " << workers_[w]->peer() << " closed; "
-                   << outstanding_[w].size() << " job(s) abandoned";
-        fail_all(w, FailureKind::Crash, jobs, outcomes);
-      }
-      break;
-    }
-  }
-}
-
-void TransportDispatcher::collect_serving(
-    std::span<const TrainJobSpec> jobs,
-    const std::vector<float>& global_params,
-    std::vector<TrainOutcome>& outcomes) {
-  ServingMetrics& metrics = ServingMetrics::get();
-  const std::int64_t start = net::steady_ms();
-  std::vector<std::int64_t> last_heard(workers_.size(), start);
-
+void TransportDispatcher::collect(std::span<const TrainJobSpec> jobs,
+                                  const std::vector<float>& global_params,
+                                  std::vector<TrainOutcome>& outcomes) {
+  liveness_.start_collection();
   auto outstanding_total = [&] {
     std::size_t n = 0;
     for (const auto& queue : outstanding_) n += queue.size();
@@ -401,21 +441,12 @@ void TransportDispatcher::collect_serving(
     }
     return n;
   };
-  const std::size_t quorum_target =
-      config_.quorum_fraction < 1.0
-          ? static_cast<std::size_t>(
-                std::ceil(config_.quorum_fraction *
-                          static_cast<double>(jobs.size())))
-          : jobs.size();
+  const std::size_t target = quorum_target(jobs.size());
   std::int64_t quorum_deadline = -1;  // set once the quorum first lands
 
   while (outstanding_total() > 0) {
-    const std::int64_t now = net::steady_ms();
     // Whole-round collection budget: fail the remainder rather than hang.
-    if (config_.recv_timeout_ms >= 0 && now - start > config_.recv_timeout_ms) {
-      HACCS_WARN << "serving: round collection budget ("
-                 << config_.recv_timeout_ms << " ms) exhausted; "
-                 << outstanding_total() << " job(s) abandoned";
+    if (liveness_.budget_spent()) {
       for (std::size_t w = 0; w < workers_.size(); ++w) {
         fail_all(w, FailureKind::Timeout, jobs, outcomes);
       }
@@ -423,7 +454,8 @@ void TransportDispatcher::collect_serving(
     }
     // Quorum commit: enough updates have landed — give stragglers one grace
     // window, then cut the round loose.
-    if (config_.quorum_fraction < 1.0 && delivered_count() >= quorum_target) {
+    if (config_.quorum_fraction < 1.0 && delivered_count() >= target) {
+      const std::int64_t now = net::steady_ms();
       if (quorum_deadline < 0) {
         quorum_deadline = now + config_.quorum_grace_ms;
         if (ServingStatusBoard* board = config_.status_board) {
@@ -431,47 +463,21 @@ void TransportDispatcher::collect_serving(
         }
       }
       if (now >= quorum_deadline) {
-        const std::size_t abandoned = outstanding_total();
-        if (abandoned > 0) {
-          metrics.quorum_degraded.inc();
-          obs::FlightRecorder::global().note_quorum_degraded();
-          HACCS_INFO << "serving: quorum (" << quorum_target << "/"
-                     << jobs.size() << ") reached; abandoning " << abandoned
-                     << " straggler job(s)";
-          for (std::size_t w = 0; w < workers_.size(); ++w) {
-            fail_all(w, FailureKind::Timeout, jobs, outcomes);
-          }
+        ServingMetrics::get().quorum_degraded.inc();
+        obs::FlightRecorder::global().note_quorum_degraded();
+        HACCS_INFO << "serving: quorum (" << target << "/" << jobs.size()
+                   << ") reached; abandoning " << outstanding_total()
+                   << " straggler job(s)";
+        for (std::size_t w = 0; w < workers_.size(); ++w) {
+          fail_all(w, FailureKind::Timeout, jobs, outcomes);
         }
         break;
       }
     }
-    // One short poll slice per worker that still owes updates. Any frame —
-    // updates and heartbeats alike — refreshes the worker's liveness clock.
+    // One short poll slice per worker that still owes updates.
     for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (outstanding_[w].empty()) continue;
-      net::Frame frame;
-      const auto status = workers_[w]->recv(&frame, kServeSliceMs);
-      if (absorb_recv(w, status, frame, jobs, global_params, outcomes)) {
-        last_heard[w] = net::steady_ms();  // a damaged frame counts too
-        continue;
-      }
-      if (status == net::TransportStatus::Closed) {
-        HACCS_WARN << "transport to " << workers_[w]->peer() << " closed; "
-                   << outstanding_[w].size() << " job(s) abandoned";
-        fail_all(w, FailureKind::Crash, jobs, outcomes);
-        set_dead(w, true);
-        sync_board(w);
-      } else if (config_.heartbeat_timeout_ms > 0 &&
-                 net::steady_ms() - last_heard[w] >
-                     config_.heartbeat_timeout_ms) {
-        metrics.heartbeats_missed.inc();
-        HACCS_WARN << "worker " << w << " (" << workers_[w]->peer()
-                   << ") silent for > " << config_.heartbeat_timeout_ms
-                   << " ms; declaring dead, " << outstanding_[w].size()
-                   << " job(s) abandoned";
-        fail_all(w, FailureKind::Crash, jobs, outcomes);
-        set_dead(w, true);
-        sync_board(w);
+      if (!outstanding_[w].empty()) {
+        poll_worker(w, PeerLiveness::kSliceMs, jobs, global_params, outcomes);
       }
     }
   }

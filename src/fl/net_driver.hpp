@@ -4,7 +4,7 @@
 //   * TransportDispatcher — the server side of the dispatch seam. Serializes
 //     each TrainJobSpec as a TrainJob frame, fans jobs out over one or more
 //     worker transports (client_id % workers), and collects ClientUpdate
-//     frames with per-message timeouts. Transport failures surface as
+//     frames within a whole-round budget. Transport failures surface as
 //     undelivered outcomes: Corrupt -> FailureKind::CorruptUpdate, Timeout
 //     -> Timeout, Closed -> Crash — the engine routes them into
 //     ClientSelector::report_failure exactly like simulated faults.
@@ -19,13 +19,14 @@
 //     (pinned in tests/net_test.cpp); examples/haccs_server + haccs_worker
 //     run the same driver across real processes over TCP.
 //
-// Serving mode (DESIGN.md §5g): with heartbeat_timeout_ms, quorum_fraction,
-// or reacquire configured, the dispatcher collects with a round-robin poll
-// over live workers — any inbound frame (including Heartbeat) refreshes a
-// worker's liveness deadline, a silent worker is escalated to Crash, and the
-// round commits once a quorum of updates has landed instead of blocking on
-// stragglers. With all three left at their defaults the dispatcher runs the
-// original strictly-serial collection path, byte-identical to before.
+// Collection (DESIGN.md §5g): one round-robin poll over the workers that
+// still owe updates, through PeerLiveness — the liveness rules the tree root
+// (hier::TreeDispatcher) shares. Any inbound frame (including Heartbeat)
+// proves a worker alive; a closed or (with heartbeat_timeout_ms) silent
+// worker is declared dead and its jobs fail as Crash; whatever is still owed
+// when the round budget runs out fails as Timeout. With quorum_fraction < 1
+// the round commits once a quorum of updates has landed instead of blocking
+// on stragglers.
 //
 // Corrupt-frame attribution: a frame that fails its CRC cannot name its
 // client, but workers process jobs strictly FIFO per transport, so the
@@ -55,8 +56,7 @@ namespace haccs::fl {
 /// dispatcher publishes its round/worker state into relaxed atomics as it
 /// works and the status server's thread renders to_json() on demand — no
 /// lock is ever taken on the round loop. A null board pointer in the
-/// dispatcher config (the default) skips even the relaxed stores, keeping
-/// the flags-off serving path untouched.
+/// dispatcher config (the default) skips even the relaxed stores.
 class ServingStatusBoard {
  public:
   struct Worker {
@@ -93,18 +93,94 @@ class ServingStatusBoard {
   std::vector<Worker> workers_;  ///< sized once; atomics live in place
 };
 
-struct TransportDispatcherConfig {
+/// Settings both serving roots share: the flat TransportDispatcher (peers =
+/// workers) and hier::TreeDispatcher (peers = mid-tier aggregators).
+struct ServingRootConfig {
   LocalWorkConfig work;
   /// Per-frame send deadline, milliseconds (<0 = wait forever).
   int send_timeout_ms = 30000;
-  /// Per-frame receive deadline while collecting updates (<0 = forever).
-  /// In serving mode this is the whole-round collection budget instead.
+  /// Whole-round collection budget, milliseconds, counted from the end of
+  /// the fan-out (<0 = wait forever). Work still owed when it runs out
+  /// fails as Timeout.
   int recv_timeout_ms = 30000;
-  /// Serving-mode liveness: a worker that has been silent (no update, no
-  /// heartbeat, nothing) for this long while it owes updates is declared
-  /// dead — its outstanding jobs fail as Crash and the engine's circuit
-  /// breaker / selector see the failure. 0 disables.
+  /// Liveness: a peer that has been silent (no update, no heartbeat,
+  /// nothing) for this long while it owes work is declared dead — its jobs
+  /// fail as Crash and the engine's circuit breaker / selector see the
+  /// failure. 0 disables.
   int heartbeat_timeout_ms = 0;
+  /// Receives decoded TraceShard frames (workers' span buffers, §5i).
+  /// Unset = shards are drained and dropped.
+  std::function<void(net::TraceShardMsg&&)> on_trace_shard;
+  /// Live-status mirror for /status, one row per peer; non-owning, may be
+  /// null (default).
+  ServingStatusBoard* status_board = nullptr;
+  /// Liveness edge callback: fired with (peer, alive=false) when a peer is
+  /// declared dead and (peer, alive=true) when a reacquired transport
+  /// brings it back. Called from the dispatcher's (engine) thread. Feeds
+  /// the live re-cluster path (§5h phase 2). Unset = no callbacks.
+  std::function<void(std::size_t, bool)> on_liveness;
+};
+
+/// Per-peer liveness for a serving root's collection loop (§5g); both
+/// dispatchers poll their peers through it. Any frame, a damaged one
+/// included, proves a peer alive. A Closed transport, or a peer silent past
+/// heartbeat_timeout_ms, is declared dead. Owns the dead flags and their
+/// on_liveness edge, the whole-round budget, the status board's round and
+/// per-peer rows, and TraceShard forwarding. Settling the work a dead peer
+/// owed stays with the dispatcher.
+class PeerLiveness {
+ public:
+  /// What one poll of a peer produced.
+  enum class Event {
+    Frame,    ///< a frame for the dispatcher to settle
+    Corrupt,  ///< a damaged frame: the peer is alive, its content is lost
+    Shard,    ///< a TraceShard, already forwarded
+    Quiet,    ///< nothing arrived within the slice
+    Lost,     ///< closed, or silent too long: the peer is now dead
+  };
+  /// Per-peer poll slice: short enough that one silent peer cannot starve
+  /// the others' liveness checks.
+  static constexpr int kSliceMs = 10;
+
+  PeerLiveness(ServingRootConfig config, std::size_t peers);
+
+  bool dead(std::size_t p) const { return dead_[p]; }
+  /// Flips peer `p`'s dead flag; on a change, mirrors it to the board and
+  /// fires on_liveness.
+  void set_dead(std::size_t p, bool dead);
+
+  /// Opens the round of `jobs` on the status board and restarts the clocks.
+  void begin_round(std::span<const TrainJobSpec> jobs);
+  /// Restarts the round budget and every last-heard clock, so neither
+  /// counts the fan-out.
+  void start_collection();
+  void end_round();
+  /// True (with a warning) once the whole-round budget has run out.
+  bool budget_spent() const;
+
+  /// The failure a send that returned `status` charges; Closed also
+  /// declares `p` dead.
+  FailureKind send_failure(std::size_t p, net::TransportStatus status);
+  /// Receives from peer `p` for up to `slice_ms` and applies the rules.
+  Event poll(std::size_t p, net::Transport& link, net::Frame* frame,
+             int slice_ms = kSliceMs);
+  /// Counts one update delivered through peer `p` on the status board.
+  void note_delivered(std::size_t p);
+  /// Peer `p`'s status-board row; null without a board row for it.
+  ServingStatusBoard::Worker* board_row(std::size_t p) const;
+
+ private:
+  /// Stamps peer `p`'s last-heard clock, here and on the board.
+  void heard(std::size_t p);
+  void mirror_alive(std::size_t p) const;
+
+  ServingRootConfig config_;
+  std::vector<bool> dead_;
+  std::vector<std::int64_t> last_heard_;  ///< steady clock, ms
+  std::int64_t start_ = 0;                ///< collection start, ms
+};
+
+struct TransportDispatcherConfig : ServingRootConfig {
   /// Quorum commit (< 1 enables): once this fraction of the round's
   /// dispatched jobs have delivered updates, wait quorum_grace_ms longer,
   /// then fail the stragglers as Timeout instead of blocking the round.
@@ -117,16 +193,6 @@ struct TransportDispatcherConfig {
   /// return (non-owning, caller keeps ownership) replaces the dead
   /// transport. Unset = dead workers stay dead.
   std::function<net::Transport*(std::size_t)> reacquire;
-  /// Receives decoded TraceShard frames (workers' span buffers, §5i).
-  /// Unset = shards are drained and dropped.
-  std::function<void(net::TraceShardMsg&&)> on_trace_shard;
-  /// Live-status mirror for /status; non-owning, may be null (default).
-  ServingStatusBoard* status_board = nullptr;
-  /// Liveness edge callback: fired with (worker, alive=false) when a worker
-  /// is declared dead and (worker, alive=true) when a reacquired transport
-  /// brings it back. Called from the dispatcher's (engine) thread. Feeds
-  /// the live re-cluster path (§5h phase 2). Unset = no callbacks.
-  std::function<void(std::size_t, bool)> on_liveness;
   /// Grouped aggregation (§5j): > 0 folds delivered updates into this many
   /// per-group PartialAggregates (group of a client = its worker's
   /// contiguous aggregator slice; workers.size() must divide evenly) instead
@@ -155,22 +221,16 @@ class TransportDispatcher final : public RoundDispatcher {
   }
 
  private:
-  bool serving_enabled() const {
-    return config_.heartbeat_timeout_ms > 0 || config_.quorum_fraction < 1.0 ||
-           static_cast<bool>(config_.reacquire);
-  }
-
-  /// Handles one frame received from worker `w`; returns true when it
-  /// settled an outstanding job.
-  bool handle_frame(std::size_t w, const net::Frame& frame,
+  /// Handles one frame received from worker `w`.
+  void handle_frame(std::size_t w, const net::Frame& frame,
                     std::span<const TrainJobSpec> jobs,
                     const std::vector<float>& global_params,
                     std::vector<TrainOutcome>& outcomes);
-  /// Settles one recv() result from worker `w`: a frame goes to
-  /// handle_frame, a damaged one fails the oldest outstanding job, and
-  /// either proves the worker alive. False for Timeout and Closed.
-  bool absorb_recv(std::size_t w, net::TransportStatus status,
-                   const net::Frame& frame, std::span<const TrainJobSpec> jobs,
+  /// Polls worker `w` for up to `slice_ms` and settles what arrived: a
+  /// frame goes to handle_frame, a damaged one fails the oldest outstanding
+  /// job, a lost worker fails them all. False when nothing more is ready.
+  bool poll_worker(std::size_t w, int slice_ms,
+                   std::span<const TrainJobSpec> jobs,
                    const std::vector<float>& global_params,
                    std::vector<TrainOutcome>& outcomes);
   /// Fails worker `w`'s oldest outstanding job (its slot's outcome).
@@ -181,22 +241,17 @@ class TransportDispatcher final : public RoundDispatcher {
                 std::span<const TrainJobSpec> jobs,
                 std::vector<TrainOutcome>& outcomes);
 
-  /// Mirrors worker `w`'s queue depth / liveness onto the status board
-  /// (no-op with a null board).
+  /// Mirrors worker `w`'s queue depth onto the status board (no-op with a
+  /// null board).
   void sync_board(std::size_t w);
-  /// Stamps worker `w`'s last-heard clock on the status board.
-  void board_note_heard(std::size_t w);
+  /// Updates the round must deliver before it may commit early.
+  std::size_t quorum_target(std::size_t dispatched) const;
 
-  /// The original strictly-serial collection (flags-off path, byte-identical
-  /// to the pre-serving driver).
-  void collect_serial(std::span<const TrainJobSpec> jobs,
-                      const std::vector<float>& global_params,
-                      std::vector<TrainOutcome>& outcomes);
-  /// Serving-mode collection: round-robin slice polling with heartbeat
-  /// deadlines and quorum commit.
-  void collect_serving(std::span<const TrainJobSpec> jobs,
-                       const std::vector<float>& global_params,
-                       std::vector<TrainOutcome>& outcomes);
+  /// Collects until nothing is outstanding: round-robin slice polling with
+  /// the round budget, liveness deadlines and quorum commit.
+  void collect(std::span<const TrainJobSpec> jobs,
+               const std::vector<float>& global_params,
+               std::vector<TrainOutcome>& outcomes);
 
   /// Grouped post-collection fold (§5j): walks the round's jobs in slot
   /// order and folds each delivered update into its group's partial with
@@ -207,16 +262,14 @@ class TransportDispatcher final : public RoundDispatcher {
                    const std::vector<float>& global_params,
                    std::vector<TrainOutcome>& outcomes);
   std::size_t group_of(std::size_t client_id) const;
-  /// Flips dead_[w] and fires the on_liveness edge callback on change.
-  void set_dead(std::size_t w, bool dead);
 
   std::vector<net::Transport*> workers_;
   TransportDispatcherConfig config_;
+  /// Dead workers are the candidates for reacquire.
+  PeerLiveness liveness_;
   /// Outstanding job indices (into the execute() jobs span) per worker, in
   /// send order — the FIFO that corrupt frames are attributed against.
   std::vector<std::deque<std::size_t>> outstanding_;
-  /// Workers whose transport returned Closed; candidates for reacquire.
-  std::vector<bool> dead_;
   /// Per-group partial sums from the last execute() (agg_groups mode).
   std::vector<PartialAggregate> partials_;
 };

@@ -15,10 +15,6 @@ namespace haccs::hier {
 
 namespace {
 
-/// Per-aggregator poll slice while collecting (same cadence as the flat
-/// serving path).
-constexpr int kSliceMs = 10;
-
 /// Chunks stashed per aggregator before the root stops reading from it —
 /// TCP backpressure then holds the data at the sender, which is what bounds
 /// root memory to O(chunk × aggregators).
@@ -42,7 +38,9 @@ struct TreeMetrics {
 
 TreeDispatcher::TreeDispatcher(std::vector<net::Transport*> aggs,
                                TreeDispatcherConfig config)
-    : aggs_(std::move(aggs)), config_(std::move(config)) {
+    : aggs_(std::move(aggs)),
+      config_(std::move(config)),
+      liveness_(config_, aggs_.size()) {
   if (aggs_.empty()) {
     throw std::invalid_argument("TreeDispatcher: no aggregators");
   }
@@ -51,28 +49,12 @@ TreeDispatcher::TreeDispatcher(std::vector<net::Transport*> aggs,
     throw std::invalid_argument(
         "TreeDispatcher: aggregator count must evenly divide num_workers");
   }
-  dead_.assign(aggs_.size(), false);
   partials_.assign(1, fl::PartialAggregate{});
 }
 
 std::size_t TreeDispatcher::group_of(std::size_t client_id) const {
   return (client_id % config_.num_workers) /
          (config_.num_workers / aggs_.size());
-}
-
-void TreeDispatcher::set_dead(std::size_t a, bool dead) {
-  if (dead_[a] == dead) return;
-  dead_[a] = dead;
-  if (config_.on_liveness) config_.on_liveness(a, !dead);
-  sync_board(a);
-}
-
-void TreeDispatcher::sync_board(std::size_t a) {
-  if (fl::ServingStatusBoard* board = config_.status_board) {
-    if (a < board->num_workers()) {
-      board->worker(a).alive.store(!dead_[a], std::memory_order_relaxed);
-    }
-  }
 }
 
 bool TreeDispatcher::agg_finished(const AggRound& round,
@@ -133,13 +115,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
   partials_.assign(1, fl::PartialAggregate{});
   std::vector<AggRound> rounds(num_aggs);
 
-  if (fl::ServingStatusBoard* board = config_.status_board) {
-    board->round.store(epoch, std::memory_order_relaxed);
-    board->dispatched.store(jobs.size(), std::memory_order_relaxed);
-    board->delivered.store(0, std::memory_order_relaxed);
-    board->collecting.store(true, std::memory_order_relaxed);
-    for (std::size_t a = 0; a < num_aggs; ++a) sync_board(a);
-  }
+  liveness_.begin_round(jobs);
 
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     rounds[group_of(jobs[j].client_id)].job_indices.push_back(j);
@@ -162,7 +138,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
   for (std::size_t a = 0; a < num_aggs; ++a) {
     AggRound& round = rounds[a];
     if (round.job_indices.empty()) continue;
-    if (dead_[a]) {
+    if (liveness_.dead(a)) {
       fail_agg_jobs(a, fl::FailureKind::Crash);
       continue;
     }
@@ -174,10 +150,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
     const auto status = aggs_[a]->send(net::encode_select_notice(notice),
                                        config_.send_timeout_ms);
     if (status != net::TransportStatus::Ok) {
-      if (status == net::TransportStatus::Closed) set_dead(a, true);
-      fail_agg_jobs(a, status == net::TransportStatus::Timeout
-                           ? fl::FailureKind::Timeout
-                           : fl::FailureKind::Crash);
+      fail_agg_jobs(a, liveness_.send_failure(a, status));
       continue;
     }
     bool alive = true;
@@ -188,10 +161,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
               job, config_.work, global_params, trace_ctx)),
           config_.send_timeout_ms);
       if (js != net::TransportStatus::Ok) {
-        if (js == net::TransportStatus::Closed) set_dead(a, true);
-        fail_agg_jobs(a, js == net::TransportStatus::Timeout
-                             ? fl::FailureKind::Timeout
-                             : fl::FailureKind::Crash);
+        fail_agg_jobs(a, liveness_.send_failure(a, js));
         alive = false;
         break;
       }
@@ -201,8 +171,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
 
   // Collection: fold gated chunks as they arrive.
   std::vector<double> acc(global_params.size(), 0.0);
-  const std::int64_t start = net::steady_ms();
-  std::vector<std::int64_t> last_heard(num_aggs, start);
+  liveness_.start_collection();
   bool torn = false;
 
   auto all_done = [&] {
@@ -232,11 +201,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
   };
 
   while (!torn && !all_done()) {
-    const std::int64_t now = net::steady_ms();
-    if (config_.recv_timeout_ms >= 0 &&
-        now - start > config_.recv_timeout_ms) {
-      HACCS_WARN << "tree: round " << epoch << " collection budget ("
-                 << config_.recv_timeout_ms << " ms) exhausted";
+    if (liveness_.budget_spent()) {
       for (std::size_t a = 0; a < num_aggs; ++a) {
         if (rounds[a].participating &&
             !agg_finished(rounds[a], global_params.size())) {
@@ -258,75 +223,36 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
         continue;
       }
       net::Frame frame;
-      const auto status = aggs_[a]->recv(&frame, kSliceMs);
-      switch (status) {
-        case net::TransportStatus::Ok: {
-          last_heard[a] = net::steady_ms();
-          if (fl::ServingStatusBoard* board = config_.status_board) {
-            if (a < board->num_workers()) {
-              board->worker(a).last_heard_ms.store(last_heard[a],
-                                                   std::memory_order_relaxed);
+      switch (liveness_.poll(a, *aggs_[a], &frame)) {
+        case fl::PeerLiveness::Event::Frame:
+          try {
+            if (frame.type == net::MessageType::SubtreeChunk) {
+              auto msg = net::decode_subtree_chunk(frame);
+              if (msg.epoch != epoch) break;  // stale round — drop
+              round.stash.emplace(msg.offset, std::move(msg.data));
+            } else if (frame.type == net::MessageType::SubtreeUpdate) {
+              auto msg = net::decode_subtree_update(frame);
+              if (msg.epoch != epoch) break;
+              round.update = std::move(msg);
+              round.trailer = true;  // n_chunks == 0 may open gates
+            } else {
+              break;  // Heartbeat: liveness already refreshed
             }
-          }
-          switch (frame.type) {
-            case net::MessageType::SubtreeChunk:
-              try {
-                auto msg = net::decode_subtree_chunk(frame);
-                if (msg.epoch != epoch) break;  // stale round — drop
-                round.stash.emplace(msg.offset, std::move(msg.data));
-                try_fold(rounds, acc);
-              } catch (const net::WireError& e) {
-                HACCS_WARN << "tree: bad SubtreeChunk from agg " << a << ": "
-                           << e.what();
-              }
-              break;
-            case net::MessageType::SubtreeUpdate:
-              try {
-                auto msg = net::decode_subtree_update(frame);
-                if (msg.epoch != epoch) break;
-                round.update = std::move(msg);
-                round.trailer = true;
-                try_fold(rounds, acc);  // n_chunks == 0 may open gates
-              } catch (const net::WireError& e) {
-                HACCS_WARN << "tree: bad SubtreeUpdate from agg " << a << ": "
-                           << e.what();
-              }
-              break;
-            case net::MessageType::TraceShard:
-              if (config_.on_trace_shard) {
-                try {
-                  config_.on_trace_shard(net::decode_trace_shard(frame));
-                } catch (const net::WireError& e) {
-                  HACCS_WARN << "tree: undecodable TraceShard: " << e.what();
-                }
-              }
-              break;
-            default:
-              break;  // Heartbeat: liveness refreshed above
+            try_fold(rounds, acc);
+          } catch (const net::WireError& e) {
+            HACCS_WARN << "tree: bad subtree frame from agg " << a << ": "
+                       << e.what();
           }
           break;
-        }
-        case net::TransportStatus::Corrupt:
+        case fl::PeerLiveness::Event::Corrupt:
           // Proof of life, but the frame (possibly a chunk) is gone — the
           // aggregator can no longer finish; the budget tears the round.
-          last_heard[a] = net::steady_ms();
           HACCS_WARN << "tree: corrupt frame from agg " << a;
           break;
-        case net::TransportStatus::Closed:
-          HACCS_WARN << "tree: agg " << a << " ("
-                     << aggs_[a]->peer() << ") closed";
-          set_dead(a, true);
+        case fl::PeerLiveness::Event::Lost:
           drop_agg(a, fl::FailureKind::Crash);
           break;
-        case net::TransportStatus::Timeout:
-          if (config_.heartbeat_timeout_ms > 0 &&
-              net::steady_ms() - last_heard[a] > config_.heartbeat_timeout_ms) {
-            HACCS_WARN << "tree: agg " << a << " silent for > "
-                       << config_.heartbeat_timeout_ms
-                       << " ms; declaring dead";
-            set_dead(a, true);
-            drop_agg(a, fl::FailureKind::Crash);
-          }
+        default:
           break;
       }
     }
@@ -347,9 +273,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
       out.updated.clear();
     }
     partials_.assign(1, fl::PartialAggregate{});
-    if (fl::ServingStatusBoard* board = config_.status_board) {
-      board->collecting.store(false, std::memory_order_relaxed);
-    }
+    liveness_.end_round();
     return;
   }
 
@@ -375,12 +299,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
         out.result.final_loss = stat.final_loss;
         out.result.batches = static_cast<std::size_t>(stat.batches);
         ++merged.updates;
-        if (fl::ServingStatusBoard* board = config_.status_board) {
-          board->delivered.fetch_add(1, std::memory_order_relaxed);
-          if (a < board->num_workers()) {
-            board->worker(a).updates.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
+        liveness_.note_delivered(a);
       } else {
         out.delivered = false;
         out.failure = stat.failure <=
@@ -393,10 +312,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
     merged.weight += round.update.weight;
   }
   if (merged.updates > 0) merged.sum = std::move(acc);
-
-  if (fl::ServingStatusBoard* board = config_.status_board) {
-    board->collecting.store(false, std::memory_order_relaxed);
-  }
+  liveness_.end_round();
 }
 
 }  // namespace haccs::hier

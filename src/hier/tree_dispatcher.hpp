@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -36,27 +35,19 @@
 
 namespace haccs::hier {
 
-struct TreeDispatcherConfig {
-  fl::LocalWorkConfig work;
+/// The shared serving-root settings (fl::ServingRootConfig) apply per
+/// aggregator: status-board rows, liveness edges and the heartbeat deadline
+/// all count aggregators, not workers.
+struct TreeDispatcherConfig : fl::ServingRootConfig {
+  /// A tree round waits on whole subtrees: a longer default budget.
+  TreeDispatcherConfig() { recv_timeout_ms = 120000; }
   /// Federation-wide worker count; aggregator of a client =
   /// (client_id % num_workers) / (num_workers / num_aggs). Must be a
   /// multiple of the aggregator count.
   std::size_t num_workers = 0;
-  int send_timeout_ms = 30000;
-  /// Whole-round collection budget (<0 = wait forever).
-  int recv_timeout_ms = 120000;
-  /// An aggregator silent for this long while it owes its trailer is
-  /// declared dead (0 disables; heartbeats reset the clock).
-  int heartbeat_timeout_ms = 0;
-  /// Update-norm threshold, forwarded for documentation parity with the
-  /// flat grouped mode (validation runs at the mid tier).
+  /// Ignored by the root: updates are validated at the mid tier, against
+  /// MidTierConfig::max_update_norm.
   double max_update_norm = 0.0;
-  /// Receives relayed worker TraceShard frames (§5i).
-  std::function<void(net::TraceShardMsg&&)> on_trace_shard;
-  /// Live-status mirror; rows are AGGREGATORS here, not workers.
-  fl::ServingStatusBoard* status_board = nullptr;
-  /// Liveness edges per aggregator index (drives live re-cluster, §5h).
-  std::function<void(std::size_t, bool)> on_liveness;
 };
 
 class TreeDispatcher final : public fl::RoundDispatcher {
@@ -74,7 +65,7 @@ class TreeDispatcher final : public fl::RoundDispatcher {
     return &partials_;
   }
 
-  bool agg_alive(std::size_t a) const { return !dead_[a]; }
+  bool agg_alive(std::size_t a) const { return !liveness_.dead(a); }
 
  private:
   /// Per-aggregator collection state for one execute() call.
@@ -86,11 +77,9 @@ class TreeDispatcher final : public fl::RoundDispatcher {
     std::uint64_t folded_chunks = 0;
     bool trailer = false;
     net::SubtreeUpdateMsg update;
-    bool torn = false;  ///< died after contributing — poisons the round
   };
 
   std::size_t group_of(std::size_t client_id) const;
-  void set_dead(std::size_t a, bool dead);
   /// Folds every gated chunk it can, round-robin until no progress.
   void try_fold(std::vector<AggRound>& rounds, std::vector<double>& acc);
   /// A chunk ending at `end` from aggregator `a` may fold only when every
@@ -98,11 +87,10 @@ class TreeDispatcher final : public fl::RoundDispatcher {
   bool gate_open(const std::vector<AggRound>& rounds, std::size_t a,
                  std::uint64_t end) const;
   bool agg_finished(const AggRound& round, std::size_t model_size) const;
-  void sync_board(std::size_t a);
 
   std::vector<net::Transport*> aggs_;
   TreeDispatcherConfig config_;
-  std::vector<bool> dead_;
+  fl::PeerLiveness liveness_;
   std::vector<fl::PartialAggregate> partials_;
 };
 

@@ -645,6 +645,47 @@ TEST(HierTree, DeadAggregatorIsSalvagedNotTorn) {
   obs::set_metrics_enabled(false);
 }
 
+// An aggregator that goes silent is declared dead by the same liveness
+// rule as a flat worker, and counted as a missed heartbeat.
+TEST(HierTree, SilentAggregatorCountsAsMissedHeartbeat) {
+  obs::set_metrics_enabled(true);
+  auto live = net::make_loopback_pair();
+  auto silent = net::make_loopback_pair();
+  const double missed_before =
+      obs::Registry::global().counter("heartbeats_missed_total").value();
+
+  hier::TreeDispatcherConfig config;
+  config.num_workers = 4;
+  config.recv_timeout_ms = 10000;
+  config.heartbeat_timeout_ms = 100;
+  hier::TreeDispatcher dispatcher({live.a.get(), silent.a.get()}, config);
+
+  std::thread agg([&] { emulate_agg_round(*live.b, 0); });
+  // client 0 -> aggregator 0; clients 2 and 3 -> aggregator 1, which never
+  // answers.
+  std::vector<fl::TrainJobSpec> jobs(3);
+  for (std::size_t j = 0; j < jobs.size(); ++j) jobs[j].slot = j;
+  jobs[0].client_id = 0;
+  jobs[1].client_id = 2;
+  jobs[2].client_id = 3;
+  const std::vector<float> params = {1.0f, 2.0f};
+  std::vector<fl::TrainOutcome> outcomes(3);
+  dispatcher.execute(jobs, params, outcomes);
+  agg.join();
+
+  EXPECT_TRUE(outcomes[0].delivered);
+  for (const std::size_t slot : {1, 2}) {
+    EXPECT_FALSE(outcomes[slot].delivered) << "slot " << slot;
+    EXPECT_EQ(outcomes[slot].failure, fl::FailureKind::Crash)
+        << "slot " << slot;
+  }
+  EXPECT_FALSE(dispatcher.agg_alive(1));
+  EXPECT_EQ(
+      obs::Registry::global().counter("heartbeats_missed_total").value(),
+      missed_before + 1.0);
+  obs::set_metrics_enabled(false);
+}
+
 // ---------------------------------------------------------------------------
 // StatusParsing: the exposition server's request handling (satellite of §5j —
 // the endpoint every tier now exposes)

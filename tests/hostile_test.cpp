@@ -376,7 +376,9 @@ TEST(SelectorZoo, FillsToAvailabilityBoundWithDistinctIds) {
 
 TEST(SelectorZoo, SaveLoadRoundTripIsByteIdenticalAndBehaviorPreserving) {
   const auto fed = testing::build_dataset(small_spec());
-  for (const auto& [name, make] : zoo_factories()) {
+  // Named, so the foreign-blob donor below outlives its lookup.
+  const auto zoo = zoo_factories();
+  for (const auto& [name, make] : zoo) {
     auto a = make(fed);
     const auto view = make_view(fed.clients.size());
     a->initialize(view);
@@ -408,9 +410,7 @@ TEST(SelectorZoo, SaveLoadRoundTripIsByteIdenticalAndBehaviorPreserving) {
     // A blob from a different selector must be rejected, not half-applied.
     auto foreign = make(fed);
     foreign->initialize(view);
-    const auto& other =
-        zoo_factories()[name == "dpp" ? 1 : 0];
-    auto donor = other.second(fed);
+    auto donor = zoo[name == "dpp" ? 1 : 0].second(fed);
     donor->initialize(view);
     EXPECT_THROW(foreign->load_state(donor->save_state()), std::runtime_error)
         << name;

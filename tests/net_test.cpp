@@ -8,6 +8,7 @@
 // ClientSelector::report_failure like simulated faults.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -944,6 +945,64 @@ TEST(TransportDispatcher, ClosedTransportSurfacesAsCrash) {
   dispatcher.execute(jobs, global, outcomes);
   EXPECT_FALSE(outcomes[0].delivered);
   EXPECT_EQ(outcomes[0].failure, fl::FailureKind::Crash);
+}
+
+TEST(TransportDispatcher, RecvBudgetCoversTheWholeRound) {
+  // recv_timeout_ms bounds the whole collection, not each worker's wait:
+  // three silent workers cost one budget, not three.
+  std::vector<net::LoopbackPair> pairs;
+  std::vector<net::Transport*> ends;
+  for (int i = 0; i < 3; ++i) {
+    pairs.push_back(net::make_loopback_pair());
+    ends.push_back(pairs.back().a.get());
+  }
+  fl::TransportDispatcherConfig config;
+  config.recv_timeout_ms = 100;
+  fl::TransportDispatcher dispatcher(ends, config);
+
+  std::vector<fl::TrainJobSpec> jobs(3);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].slot = i;
+    jobs[i].client_id = i;
+  }
+  const std::vector<float> global = {0.0f};
+  std::vector<fl::TrainOutcome> outcomes(3);
+  const auto begin = std::chrono::steady_clock::now();
+  dispatcher.execute(jobs, global, outcomes);
+  EXPECT_LT(std::chrono::steady_clock::now() - begin,
+            std::chrono::milliseconds(250));
+  for (const auto& out : outcomes) {
+    EXPECT_FALSE(out.delivered);
+    EXPECT_EQ(out.failure, fl::FailureKind::Timeout);
+  }
+}
+
+TEST(TransportDispatcher, ClosedWorkerFiresLivenessEdge) {
+  auto pair = net::make_loopback_pair();
+  std::vector<std::pair<std::size_t, bool>> edges;
+  fl::TransportDispatcherConfig config;
+  config.recv_timeout_ms = 10000;
+  config.on_liveness = [&](std::size_t w, bool alive) {
+    edges.emplace_back(w, alive);
+  };
+  fl::TransportDispatcher dispatcher({pair.a.get()}, config);
+
+  // The worker takes its job, then its end of the link goes away.
+  std::thread worker([&] {
+    net::Frame frame;
+    pair.b->recv(&frame, 10000);
+    pair.b->close();
+  });
+  const std::vector<fl::TrainJobSpec> jobs(1);
+  const std::vector<float> global = {0.0f};
+  std::vector<fl::TrainOutcome> outcomes(1);
+  dispatcher.execute(jobs, global, outcomes);
+  worker.join();
+
+  EXPECT_FALSE(outcomes[0].delivered);
+  EXPECT_EQ(outcomes[0].failure, fl::FailureKind::Crash);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0], std::make_pair(std::size_t{0}, false));
 }
 
 // ---------------------------------------------------------------------------
