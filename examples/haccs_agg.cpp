@@ -20,13 +20,11 @@
 //
 //   ./haccs_agg --agg-id=0 --aggs=2 --workers=4 --port-file=/tmp/root.port
 //       --listen-port-file=/tmp/agg0.port
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 
 #include "bench/harness.hpp"
 #include "examples/multiprocess_common.hpp"
@@ -34,10 +32,9 @@
 #include "src/fl/net_driver.hpp"
 #include "src/hier/mid_tier.hpp"
 #include "src/net/chaos.hpp"
-#include "src/net/status.hpp"
-#include "src/net/tcp.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
+#include "src/serve/session.hpp"
 
 namespace {
 
@@ -69,7 +66,11 @@ void print_usage() {
       "chaos (upstream fault injection): --chaos-seed --chaos-drop\n"
       "  --chaos-dup --chaos-reorder --chaos-corrupt --chaos-truncate\n"
       "  --chaos-disconnect\n"
-      "misc: --reconnect-attempts=N --reconnect-backoff-ms=T --log-level=L\n"
+      "upstream connect: --reconnect-attempts=N  consecutive failed connects\n"
+      "                        before giving up (default 10; exit code 3)\n"
+      "  --reconnect-backoff-ms=T  initial backoff, doubled per failure and\n"
+      "                        capped at 32x, with jitter (default 200)\n"
+      "misc: --log-level=L\n"
       "exit codes: 0 shutdown, 1 error, 2 run failed, 3 connect exhausted");
 }
 
@@ -95,7 +96,7 @@ int main(int argc, char** argv) try {
   }
 
   const std::string host = flags.get_string("host", "127.0.0.1");
-  auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));
+  const auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));
   const std::string port_file = flags.get_string("port-file", "");
   const auto agg_id = static_cast<std::uint32_t>(flags.get_int("agg-id", 0));
   const auto num_aggs = static_cast<std::uint32_t>(flags.get_int("aggs", 1));
@@ -162,7 +163,7 @@ int main(int argc, char** argv) try {
 
   hier::MidTierAggregator agg(config);
   if (!listen_port_file.empty()) {
-    examples::write_port_file(listen_port_file, agg.port());
+    serve::write_port_file(listen_port_file, agg.port());
   }
   std::fprintf(stderr,
                "agg %u/%u: fan-in on 127.0.0.1:%u, fronting workers "
@@ -170,67 +171,34 @@ int main(int argc, char** argv) try {
                agg_id, num_aggs, agg.port(), agg.worker_begin(),
                agg.worker_end());
 
-  std::optional<net::StatusServer> status_server;
-  if (status_port >= 0) {
-    const auto started = std::chrono::steady_clock::now();
-    net::StatusEndpoints endpoints;
-    endpoints.metrics_text = [] {
-      return obs::Registry::global().to_prometheus();
-    };
-    endpoints.status_json = [&status_board, agg_id, num_aggs, started] {
-      const double uptime_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started)
-              .count();
-      auto counter = [](const char* name) {
-        return obs::Registry::global().counter(name).value();
-      };
-      obs::JsonObject o;
-      o.field("tier", "mid")
-          .field("agg_id", agg_id)
-          .field("aggs", num_aggs)
-          .field("uptime_s", uptime_s)
-          .field("rounds", counter("hier_rounds_total"))
-          .field("upstream_bytes_sent",
-                 counter("hier_upstream_bytes_sent_total"))
-          .field("upstream_bytes_received",
-                 counter("hier_upstream_bytes_received_total"))
-          .field_raw("serving", status_board.to_json());
-      return o.str();
-    };
-    status_server.emplace(static_cast<std::uint16_t>(status_port),
-                          std::move(endpoints));
-    if (!status_port_file.empty()) {
-      examples::write_port_file(status_port_file, status_server->port());
-    }
-    std::fprintf(stderr,
-                 "status endpoint on 127.0.0.1:%u (/metrics /status "
-                 "/healthz)\n",
-                 status_server->port());
-  }
+  const auto status_server = serve::start_status_endpoint(
+      status_port, status_port_file, status_board,
+      [agg_id, num_aggs](obs::JsonObject& o, double uptime_s) {
+        auto counter = [](const char* name) {
+          return obs::Registry::global().counter(name).value();
+        };
+        o.field("tier", "mid")
+            .field("agg_id", agg_id)
+            .field("aggs", num_aggs)
+            .field("uptime_s", uptime_s)
+            .field("rounds", counter("hier_rounds_total"))
+            .field("upstream_bytes_sent",
+                   counter("hier_upstream_bytes_sent_total"))
+            .field("upstream_bytes_received",
+                   counter("hier_upstream_bytes_received_total"));
+      });
 
-  // Connect upstream with capped exponential backoff — the root may still
-  // be binding when a scripted launch starts every tier at once.
+  // Connect upstream with the shared backoff — the root may still be
+  // binding when a scripted launch starts every tier at once.
   Rng jitter_rng(0x7ec0ffeeULL ^ agg_id);
-  std::unique_ptr<net::Transport> upstream;
-  for (int attempt = 0; !upstream; ++attempt) {
-    if (attempt >= reconnect_attempts) {
-      std::fprintf(stderr, "agg %u: %d connect attempts failed; giving up\n",
-                   agg_id, attempt);
-      return kExitConnectExhausted;
-    }
-    if (!port_file.empty()) {
-      port = examples::wait_for_port_file(port_file, 30000);
-    }
-    upstream = net::connect_tcp(host, port, net::TcpConnectOptions{});
-    if (!upstream) {
-      const int shift = attempt < 5 ? attempt : 5;
-      const double backoff = static_cast<double>(reconnect_backoff_ms) *
-                             static_cast<double>(1 << shift) *
-                             (0.5 + jitter_rng.uniform());
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(static_cast<int>(backoff)));
-    }
+  std::unique_ptr<net::Transport> upstream = serve::redial(
+      [&] { return serve::dial(host, port, port_file); },
+      serve::ReconnectPolicy{reconnect_attempts, reconnect_backoff_ms},
+      jitter_rng);
+  if (!upstream) {
+    std::fprintf(stderr, "agg %u: %d connect attempts failed; giving up\n",
+                 agg_id, std::max(reconnect_attempts, 1));
+    return kExitConnectExhausted;
   }
   std::fprintf(stderr, "agg %u: upstream connected to %s\n", agg_id,
                upstream->peer().c_str());
@@ -252,7 +220,6 @@ int main(int argc, char** argv) try {
                    stats.upstream_bytes_received));
 
   obs::flush();
-  if (status_server) status_server->stop();
   return ok ? 0 : kExitRunFailed;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "haccs_agg: %s\n", e.what());

@@ -30,8 +30,6 @@
 //       --rounds=5 --clients=12 --per-round=4 --summary-json=/tmp/s.json
 //   ./haccs_worker --worker-id=0 --workers=2 --port-file=/tmp/port ... &
 //   ./haccs_worker --worker-id=1 --workers=2 --port-file=/tmp/port ... &
-#include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -50,10 +48,7 @@
 #include "src/hier/tree_dispatcher.hpp"
 #include "src/fl/net_driver.hpp"
 #include "src/fl/run_summary.hpp"
-#include "src/net/chaos.hpp"
-#include "src/net/status.hpp"
 #include "src/net/tcp.hpp"
-#include "src/net/wire.hpp"
 #include "src/obs/flight.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
@@ -62,7 +57,8 @@
 #include "src/select/fedlecc.hpp"
 #include "src/select/hics.hpp"
 #include "src/select/random_selector.hpp"
-#include "src/stats/summary_codec.hpp"
+#include "src/serve/fleet.hpp"
+#include "src/serve/session.hpp"
 
 namespace {
 
@@ -113,273 +109,6 @@ void print_usage() {
       "telemetry: --trace --metrics --events --log-level\n"
       "  (--trace merges worker span shards into one Chrome trace)");
 }
-
-/// The §IV-A summary uplink: one P(y) summary per client, sent after each
-/// peer's hello — by a worker for its own clients, by an aggregator for its
-/// subtree — and repeated on every reconnect (session resume), so a
-/// restarted server can rebuild its view from the fleet alone.
-class SummaryInbox {
- public:
-  explicit SummaryInbox(std::size_t num_clients)
-      : summaries_(num_clients), have_(num_clients, false) {}
-
-  /// Receives `count` Summary frames; logs and returns false when one never
-  /// arrives or names an unknown client. `peer` names the sender in logs.
-  bool receive(haccs::net::Transport& transport, std::uint32_t count,
-               int timeout_ms, const std::string& peer) {
-    namespace net = haccs::net;
-    for (std::uint32_t s = 0; s < count; ++s) {
-      net::Frame frame;
-      if (transport.recv(&frame, timeout_ms) != net::TransportStatus::Ok ||
-          frame.type != net::MessageType::Summary) {
-        std::fprintf(stderr, "%s: summary %u of %u never arrived\n",
-                     peer.c_str(), s + 1, count);
-        return false;
-      }
-      const net::SummaryMsg msg = net::decode_summary(frame);
-      if (msg.client_id >= summaries_.size()) {
-        std::fprintf(stderr, "summary for unknown client %u\n", msg.client_id);
-        return false;
-      }
-      haccs::core::ClientSummary summary;
-      summary.kind = haccs::stats::SummaryKind::Response;
-      summary.response = haccs::stats::decode_response_summary(msg);
-      summaries_[msg.client_id] = std::move(summary);
-      have_[msg.client_id] = true;
-    }
-    return true;
-  }
-
-  const std::vector<haccs::core::ClientSummary>& summaries() const {
-    return summaries_;
-  }
-  bool complete() const {
-    return std::find(have_.begin(), have_.end(), false) == have_.end();
-  }
-
- private:
-  std::vector<haccs::core::ClientSummary> summaries_;
-  std::vector<bool> have_;
-};
-
-/// The worker fleet: initial accept, per-session chaos wrapping, and
-/// mid-run re-accept of reconnecting workers (serving mode).
-///
-/// Reconnects are staged in per-worker pending slots and only swapped into
-/// the live slot inside reacquire(w) for exactly the worker the dispatcher
-/// has declared dead. A worker can observe a disconnect and re-Hello before
-/// the server's next send/recv on the old link notices, so installing the
-/// fresh session eagerly would destroy a transport the dispatcher still
-/// holds a raw pointer to (use-after-free on the next fan-out).
-class Fleet {
- public:
-  Fleet(haccs::net::TcpListener& listener, std::size_t num_workers,
-        SummaryInbox& inbox, int io_timeout_ms,
-        haccs::net::ChaosOptions chaos)
-      : listener_(listener),
-        inbox_(inbox),
-        io_timeout_ms_(io_timeout_ms),
-        chaos_(chaos),
-        slots_(num_workers),
-        pending_(num_workers),
-        generation_(num_workers, 0) {}
-
-  /// Blocks until all workers have completed the Hello + summary handshake.
-  bool accept_all(int accept_timeout_ms) {
-    std::size_t connected = 0;
-    while (connected < slots_.size()) {
-      auto transport = listener_.accept(accept_timeout_ms);
-      if (!transport) {
-        std::fprintf(stderr, "timed out waiting for worker %zu of %zu\n",
-                     connected + 1, slots_.size());
-        return false;
-      }
-      const int w = handshake(std::move(transport));
-      if (w < 0) return false;
-      const auto slot = static_cast<std::size_t>(w);
-      if (slots_[slot]) {
-        // A second Hello for an id that already completed the handshake is a
-        // launcher bug (two workers sharing a --worker-id). Fatal, as it was
-        // before serving mode: merely dropping the duplicate would let the
-        // misconfigured worker reconnect-with-backoff forever, each accept
-        // rearming the deadline — the run must not silently start with
-        // fewer distinct workers than --workers, nor hang here.
-        std::fprintf(stderr,
-                     "duplicate Hello for worker %d — check each worker's "
-                     "--worker-id\n",
-                     w);
-        pending_[slot].reset();
-        return false;
-      }
-      slots_[slot] = std::move(pending_[slot]);
-      ++connected;
-    }
-    return true;
-  }
-
-  /// TransportDispatcher reacquire hook: drains any pending reconnect
-  /// attempts (short accept timeout — called once per round per dead
-  /// worker), then hands back worker `w`'s slot if a fresh session arrived.
-  /// Only slot `w` may be touched here: the dispatcher has declared exactly
-  /// that transport dead, so freeing it is safe; reconnects from other
-  /// workers stay parked in pending_ until their own reacquire call.
-  haccs::net::Transport* reacquire(std::size_t w) {
-    for (;;) {
-      auto transport = listener_.accept(kReacceptTimeoutMs);
-      if (!transport) break;
-      handshake(std::move(transport));  // failures just drop the connection
-    }
-    if (w < pending_.size() && pending_[w]) {
-      slots_[w] = std::move(pending_[w]);
-      return slots_[w].get();
-    }
-    return nullptr;
-  }
-
-  const std::vector<std::unique_ptr<haccs::net::Transport>>& slots() const {
-    return slots_;
-  }
-
- private:
-  static constexpr int kReacceptTimeoutMs = 200;
-
-  /// Runs the Hello + summary handshake on a fresh connection; on success
-  /// stages it (chaos-wrapped) in its worker's pending slot and returns the
-  /// worker id, else returns -1. A newer pending session replaces an older
-  /// one — only the latest reconnect matters, and nothing outside this
-  /// class ever saw the replaced transport.
-  int handshake(std::unique_ptr<haccs::net::Transport> transport) {
-    namespace net = haccs::net;
-    net::Frame frame;
-    if (transport->recv(&frame, io_timeout_ms_) != net::TransportStatus::Ok ||
-        frame.type != net::MessageType::Hello) {
-      std::fprintf(stderr, "handshake with %s failed (no Hello frame)\n",
-                   transport->peer().c_str());
-      return -1;
-    }
-    const net::HelloMsg hello = net::decode_hello(frame);
-    if (hello.worker_id >= slots_.size()) {
-      std::fprintf(stderr, "bad worker id %u (expected 0..%zu)\n",
-                   hello.worker_id, slots_.size() - 1);
-      return -1;
-    }
-    if (!inbox_.receive(*transport, hello.num_clients, io_timeout_ms_,
-                        "worker " + std::to_string(hello.worker_id))) {
-      return -1;
-    }
-    const auto w = static_cast<std::size_t>(hello.worker_id);
-    // Chaos wraps the established session; the seed forks per (worker,
-    // session) so a reconnect does not replay the identical fault script.
-    net::ChaosOptions forked = chaos_;
-    forked.seed = chaos_.seed ^ (0xa11ce11aULL * (w + 1)) ^
-                  (0x5e5510ULL * ++generation_[w]);
-    std::fprintf(stderr, "worker %u connected (%s), hosting %u client(s)\n",
-                 hello.worker_id, transport->peer().c_str(),
-                 hello.num_clients);
-    pending_[w] = net::wrap_chaos(std::move(transport), forked);
-    return static_cast<int>(w);
-  }
-
-  haccs::net::TcpListener& listener_;
-  SummaryInbox& inbox_;
-  int io_timeout_ms_;
-  haccs::net::ChaosOptions chaos_;
-  std::vector<std::unique_ptr<haccs::net::Transport>> slots_;
-  /// Handshaken reconnects staged per worker until the dispatcher declares
-  /// the old transport dead and claims the replacement via reacquire().
-  std::vector<std::unique_ptr<haccs::net::Transport>> pending_;
-  std::vector<std::size_t> generation_;
-};
-
-/// The aggregator fleet (tree mode, §5j): accepts --aggs haccs_agg
-/// connections, each announcing its subtree with TopologyHello and relaying
-/// the summaries its workers uploaded. No reacquire path — a mid-tier
-/// process owns live downstream state (fold frontier, worker sessions) that
-/// a fresh process cannot resume, so a dead aggregator stays dead and the
-/// TreeDispatcher contains the loss (salvage or torn round).
-class AggFleet {
- public:
-  AggFleet(haccs::net::TcpListener& listener, std::size_t num_aggs,
-           std::size_t num_workers, SummaryInbox& inbox, int io_timeout_ms,
-           haccs::net::ChaosOptions chaos)
-      : listener_(listener),
-        num_workers_(num_workers),
-        inbox_(inbox),
-        io_timeout_ms_(io_timeout_ms),
-        chaos_(chaos),
-        slots_(num_aggs) {}
-
-  /// Blocks until every aggregator has completed the TopologyHello +
-  /// summary-relay handshake. An aggregator only announces AFTER its own
-  /// downstream handshake finished, so the deadline must cover the workers'
-  /// connect time too.
-  bool accept_all(int accept_timeout_ms) {
-    namespace net = haccs::net;
-    std::size_t connected = 0;
-    while (connected < slots_.size()) {
-      auto transport = listener_.accept(accept_timeout_ms);
-      if (!transport) {
-        std::fprintf(stderr, "timed out waiting for aggregator %zu of %zu\n",
-                     connected + 1, slots_.size());
-        return false;
-      }
-      net::Frame frame;
-      if (transport->recv(&frame, io_timeout_ms_) !=
-              net::TransportStatus::Ok ||
-          frame.type != net::MessageType::TopologyHello) {
-        std::fprintf(stderr,
-                     "handshake with %s failed (no TopologyHello frame)\n",
-                     transport->peer().c_str());
-        return false;
-      }
-      const net::TopologyHelloMsg hello = net::decode_topology_hello(frame);
-      const std::size_t per = num_workers_ / slots_.size();
-      if (hello.num_aggs != slots_.size() || hello.agg_id >= slots_.size() ||
-          hello.worker_begin != hello.agg_id * per ||
-          hello.worker_end != (hello.agg_id + 1) * per) {
-        std::fprintf(stderr,
-                     "aggregator topology mismatch (agg %u/%u, workers "
-                     "[%u, %u)) — check --aggs/--workers on every tier\n",
-                     hello.agg_id, hello.num_aggs, hello.worker_begin,
-                     hello.worker_end);
-        return false;
-      }
-      if (slots_[hello.agg_id]) {
-        std::fprintf(stderr,
-                     "duplicate TopologyHello for aggregator %u — check "
-                     "each aggregator's --agg-id\n",
-                     hello.agg_id);
-        return false;
-      }
-      if (!inbox_.receive(*transport, hello.num_clients, io_timeout_ms_,
-                          "agg " + std::to_string(hello.agg_id))) {
-        return false;
-      }
-      net::ChaosOptions forked = chaos_;
-      forked.seed = chaos_.seed ^ (0xa11ce11aULL * (hello.agg_id + 1));
-      std::fprintf(stderr,
-                   "aggregator %u connected (%s), fronting workers [%u, %u) "
-                   "with %u client(s)\n",
-                   hello.agg_id, transport->peer().c_str(),
-                   hello.worker_begin, hello.worker_end, hello.num_clients);
-      slots_[hello.agg_id] = net::wrap_chaos(std::move(transport), forked);
-      ++connected;
-    }
-    return true;
-  }
-
-  const std::vector<std::unique_ptr<haccs::net::Transport>>& slots() const {
-    return slots_;
-  }
-
- private:
-  haccs::net::TcpListener& listener_;
-  std::size_t num_workers_;
-  SummaryInbox& inbox_;
-  int io_timeout_ms_;
-  haccs::net::ChaosOptions chaos_;
-  std::vector<std::unique_ptr<haccs::net::Transport>> slots_;
-};
 
 }  // namespace
 
@@ -489,28 +218,27 @@ int main(int argc, char** argv) try {
     }
   }
 
-  // ---- accept the worker fleet ----
+  // ---- accept the fleet ----
   net::TcpListener listener(port_flag);
-  if (!port_file.empty()) examples::write_port_file(port_file, listener.port());
-  std::fprintf(stderr,
-               "listening on 127.0.0.1:%u, waiting for %zu %s\n",
-               listener.port(), num_aggs > 0 ? num_aggs : num_workers,
-               num_aggs > 0 ? "aggregator(s)" : "worker(s)");
-
-  // Exactly one fleet exists: workers (flat) or mid-tier aggregators
-  // (tree). Both yield the same wire-borne summary view.
-  SummaryInbox inbox(fed.num_clients());
-  std::optional<Fleet> fleet;
-  std::optional<AggFleet> agg_fleet;
-  if (num_aggs > 0) {
-    agg_fleet.emplace(listener, num_aggs, num_workers, inbox, io_timeout_ms,
-                      chaos);
-    if (!agg_fleet->accept_all(accept_timeout_ms)) return 1;
-  } else {
-    fleet.emplace(listener, num_workers, inbox, io_timeout_ms, chaos);
-    if (!fleet->accept_all(accept_timeout_ms)) return 1;
-  }
-  const std::vector<core::ClientSummary>& wire_summaries = inbox.summaries();
+  if (!port_file.empty()) serve::write_port_file(port_file, listener.port());
+  // The dispatcher's direct peers: workers (flat) or aggregators (tree).
+  const bool tree = num_aggs > 0;
+  const std::size_t num_peers = tree ? num_aggs : num_workers;
+  std::fprintf(stderr, "listening on 127.0.0.1:%u, waiting for %zu %s\n",
+               listener.port(), num_peers,
+               tree ? "aggregator(s)" : "worker(s)");
+  serve::FleetConfig fleet_config;
+  fleet_config.kind =
+      tree ? serve::PeerKind::Aggregator : serve::PeerKind::Worker;
+  fleet_config.num_peers = num_peers;
+  fleet_config.num_workers = num_workers;
+  fleet_config.num_clients = fed.num_clients();
+  fleet_config.io_timeout_ms = io_timeout_ms;
+  fleet_config.chaos = chaos;
+  serve::Fleet fleet(listener, fleet_config);
+  if (!fleet.accept_all(accept_timeout_ms)) return 1;
+  const std::vector<core::ClientSummary>& wire_summaries =
+      fleet.inbox().summaries();
 
   // ---- strategy ----
   std::size_t num_clusters = 0;  ///< reported on /status (0 = unclustered)
@@ -520,7 +248,7 @@ int main(int argc, char** argv) try {
   haccs.summary = stats::SummaryKind::Response;
   std::unique_ptr<fl::ClientSelector> selector;
   core::HaccsSelector* haccs_selector_ptr = nullptr;  ///< live re-cluster hook
-  if (strategy != "random" && !inbox.complete()) {
+  if (strategy != "random" && !fleet.inbox().complete()) {
     std::fprintf(stderr,
                  "missing client summaries — check each worker's "
                  "--worker-id/--workers against --workers here\n");
@@ -597,9 +325,9 @@ int main(int argc, char** argv) try {
   dispatch_config.max_update_norm = engine_config.max_update_norm;
   // Liveness mode implies fleet management: dead workers may reconnect and
   // reclaim their slot. Without it a dead worker stays dead for the run.
-  if (fleet && (heartbeat_timeout_ms > 0 || quorum < 1.0)) {
+  if (!tree && (heartbeat_timeout_ms > 0 || quorum < 1.0)) {
     dispatch_config.reacquire = [&fleet](std::size_t w) {
-      return fleet->reacquire(w);
+      return fleet.reacquire(w);
     };
   }
 
@@ -612,11 +340,9 @@ int main(int argc, char** argv) try {
     }
     // A liveness edge covers one dispatcher peer: a worker's hosted clients
     // in flat mode, a whole subtree in tree mode.
-    const std::size_t members = num_aggs > 0 ? num_aggs : num_workers;
-    std::vector<std::vector<std::size_t>> clients_of_member(members);
+    std::vector<std::vector<std::size_t>> clients_of_member(num_peers);
     for (std::size_t c = 0; c < fed.num_clients(); ++c) {
-      const std::size_t w = c % num_workers;
-      clients_of_member[num_aggs > 0 ? w / (num_workers / num_aggs) : w]
+      clients_of_member[c % num_workers / (num_workers / num_peers)]
           .push_back(c);
     }
     live_tracker.emplace(wire_summaries, std::move(clients_of_member), haccs);
@@ -647,68 +373,41 @@ int main(int argc, char** argv) try {
   };
   if (obs::trace_enabled()) dispatch_config.on_trace_shard = collect_shard;
 
-  // Board rows are the dispatcher's direct peers: workers in flat mode,
-  // aggregators in tree mode (each row's `queued` gauge is that peer's
-  // outstanding-frame depth, §5j backpressure).
-  fl::ServingStatusBoard status_board(num_aggs > 0 ? num_aggs : num_workers);
-  const char* const tier = num_aggs > 0 ? "root" : "flat";
-  std::optional<net::StatusServer> status_server;
-  if (status_port >= 0) {
-    dispatch_config.status_board = &status_board;
-    const auto started = std::chrono::steady_clock::now();
-    net::StatusEndpoints endpoints;
-    endpoints.metrics_text = [] {
-      return obs::Registry::global().to_prometheus();
-    };
-    endpoints.status_json = [&status_board, num_clusters, started, tier] {
-      const double uptime_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started)
-              .count();
-      const auto& wire = net::NetMetrics::get();
-      const std::uint64_t sent = wire.bytes_sent.value();
-      const std::uint64_t received = wire.bytes_received.value();
-      obs::JsonObject o;
-      o.field("tier", tier)
-          .field("uptime_s", uptime_s)
-          .field("clusters", num_clusters)
-          .field("net_bytes_sent", sent)
-          .field("net_bytes_received", received)
-          .field("downlink_rate_bps",
-                 uptime_s > 0 ? static_cast<double>(sent) / uptime_s : 0.0)
-          .field("uplink_rate_bps",
-                 uptime_s > 0 ? static_cast<double>(received) / uptime_s
-                              : 0.0)
-          .field_raw("serving", status_board.to_json());
-      return o.str();
-    };
-    status_server.emplace(static_cast<std::uint16_t>(status_port),
-                          std::move(endpoints));
-    if (!status_port_file.empty()) {
-      examples::write_port_file(status_port_file, status_server->port());
-    }
-    std::fprintf(stderr, "status endpoint on 127.0.0.1:%u "
-                 "(/metrics /status /healthz)\n",
-                 status_server->port());
-  }
-
-  std::vector<net::Transport*> peer_ptrs;
-  const auto& peer_slots = num_aggs > 0 ? agg_fleet->slots() : fleet->slots();
-  peer_ptrs.reserve(peer_slots.size());
-  for (const auto& t : peer_slots) peer_ptrs.push_back(t.get());
+  // One board row per peer; each row's `queued` gauge is that peer's
+  // outstanding-frame depth (§5j backpressure).
+  fl::ServingStatusBoard status_board(num_peers);
+  const char* const tier = tree ? "root" : "flat";
+  if (status_port >= 0) dispatch_config.status_board = &status_board;
+  const auto status_server = serve::start_status_endpoint(
+      status_port, status_port_file, status_board,
+      [num_clusters, tier](obs::JsonObject& o, double uptime_s) {
+        const auto& wire = net::NetMetrics::get();
+        const std::uint64_t sent = wire.bytes_sent.value();
+        const std::uint64_t received = wire.bytes_received.value();
+        o.field("tier", tier)
+            .field("uptime_s", uptime_s)
+            .field("clusters", num_clusters)
+            .field("net_bytes_sent", sent)
+            .field("net_bytes_received", received)
+            .field("downlink_rate_bps",
+                   uptime_s > 0 ? static_cast<double>(sent) / uptime_s : 0.0)
+            .field("uplink_rate_bps",
+                   uptime_s > 0 ? static_cast<double>(received) / uptime_s
+                                : 0.0);
+      });
 
   std::optional<fl::TransportDispatcher> flat_dispatcher;
   std::optional<hier::TreeDispatcher> tree_dispatcher;
-  if (num_aggs > 0) {
+  if (tree) {
     // The serving-root settings are the flat dispatcher's; the norm check
     // runs at the mid tier.
     hier::TreeDispatcherConfig tree_config;
     static_cast<fl::ServingRootConfig&>(tree_config) = dispatch_config;
     tree_config.num_workers = num_workers;
-    tree_dispatcher.emplace(std::move(peer_ptrs), std::move(tree_config));
+    tree_dispatcher.emplace(fleet.peers(), std::move(tree_config));
     engine_config.dispatcher = &*tree_dispatcher;
   } else {
-    flat_dispatcher.emplace(std::move(peer_ptrs), dispatch_config);
+    flat_dispatcher.emplace(fleet.peers(), dispatch_config);
     engine_config.dispatcher = &*flat_dispatcher;
   }
   engine_config.stop_requested = [] { return g_stop != 0; };
@@ -764,43 +463,7 @@ int main(int argc, char** argv) try {
     report.trace.trace_id = obs::process_trace_id();
     report.trace.round = static_cast<std::int64_t>(history.records().size());
   }
-  for (const auto& t : peer_slots) {
-    if (!t) continue;
-    t->send(net::encode_eval_report(report), io_timeout_ms);
-    t->send(net::encode_shutdown(), io_timeout_ms);
-  }
-  if (obs::trace_enabled()) {
-    // Drain the final TraceShards shipped in response to the traced
-    // EvalReport: one per worker in flat mode, the whole relayed subtree
-    // per aggregator in tree mode. Late heartbeats are skipped; Closed (or
-    // the shard quota) ends that peer's drain.
-    const std::size_t shards_per_peer =
-        num_aggs > 0 ? num_workers / num_aggs : 1;
-    for (const auto& t : peer_slots) {
-      if (!t) continue;
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(3000);
-      std::size_t collected = 0;
-      while (collected < shards_per_peer &&
-             std::chrono::steady_clock::now() < deadline) {
-        net::Frame frame;
-        const auto status = t->recv(&frame, 250);
-        if (status == net::TransportStatus::Closed) break;
-        if (status != net::TransportStatus::Ok) continue;
-        if (frame.type == net::MessageType::TraceShard) {
-          try {
-            collect_shard(net::decode_trace_shard(frame));
-          } catch (const net::WireError& e) {
-            std::fprintf(stderr, "discarding bad trace shard: %s\n",
-                         e.what());
-          }
-          ++collected;
-          continue;
-        }
-        if (frame.type != net::MessageType::Heartbeat) break;
-      }
-    }
-  }
+  fleet.wind_down(report, collect_shard);
 
   // ---- report ----
   auto counter_value = [](const char* name) {
@@ -879,7 +542,6 @@ int main(int argc, char** argv) try {
       std::fprintf(stderr, "cannot open %s\n", trace_path.c_str());
     }
   }
-  if (status_server) status_server->stop();
   return 0;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "haccs_server: %s\n", e.what());

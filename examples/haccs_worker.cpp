@@ -21,23 +21,19 @@
 //   ./haccs_worker --worker-id=0 --workers=2 --port-file=/tmp/port
 //       --rounds=5 --clients=12 --per-round=4
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <thread>
 
 #include "bench/harness.hpp"
 #include "examples/multiprocess_common.hpp"
 #include "src/common/logging.hpp"
 #include "src/fl/net_driver.hpp"
 #include "src/net/chaos.hpp"
-#include "src/net/tcp.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/trace.hpp"
-#include "src/stats/summary_codec.hpp"
+#include "src/serve/session.hpp"
 
 namespace {
 
@@ -91,7 +87,7 @@ int main(int argc, char** argv) try {
     }
   }
   const std::string host = flags.get_string("host", "127.0.0.1");
-  auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));
+  const auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));
   const std::string port_file = flags.get_string("port-file", "");
   const auto worker_id =
       static_cast<std::uint32_t>(flags.get_int("worker-id", 0));
@@ -118,10 +114,8 @@ int main(int argc, char** argv) try {
 
   const data::FederatedDataset fed = examples::build_federation(exp);
 
-  std::vector<std::size_t> hosted;
-  for (std::size_t id = 0; id < fed.num_clients(); ++id) {
-    if (id % num_workers == worker_id) hosted.push_back(id);
-  }
+  const std::size_t num_hosted =
+      serve::hosted_clients(fed.num_clients(), worker_id, num_workers).size();
 
   fl::WorkerLoopConfig loop_config;
   loop_config.worker_id = worker_id;
@@ -140,72 +134,42 @@ int main(int argc, char** argv) try {
   // stampedes (each worker id jitters differently).
   Rng jitter_rng(exp.seed ^ 0x7ec0ffeeULL ^ worker_id);
 
-  int failed_connects = 0;  // consecutive; reset by a served session
+  const serve::ReconnectPolicy policy{reconnect_attempts,
+                                      reconnect_backoff_ms};
   std::size_t sessions = 0;
   for (;;) {
-    // Re-read the port file every cycle: a server restarted with --resume
-    // may have re-bound to a fresh ephemeral port.
-    if (!port_file.empty()) {
-      port = examples::wait_for_port_file(port_file, 30000);
+    // Each (re)connect repeats the Hello + summary handshake, the session
+    // resume the server's fleet expects; a failed handshake is a failed
+    // connect.
+    auto transport = serve::redial(
+        [&]() -> std::unique_ptr<net::Transport> {
+          auto t = serve::dial(host, port, port_file);
+          if (t && !serve::send_session_handshake(*t, fed, worker_id,
+                                                  num_workers)) {
+            t.reset();
+          }
+          return t;
+        },
+        policy, jitter_rng);
+    if (!transport) {
+      std::fprintf(stderr,
+                   "worker %u: %d consecutive connect attempts failed; "
+                   "giving up\n",
+                   worker_id, std::max(reconnect_attempts, 1));
+      return kExitConnectExhausted;
     }
-    auto transport = net::connect_tcp(host, port, net::TcpConnectOptions{});
-    bool handshake_ok = false;
-    if (transport) {
-      // Session (re-)establishment: Hello with the hosted-client roster,
-      // then the one-per-client summary uplink — same protocol on first
-      // connect and on every resume, so the server can rebuild its view.
-      handshake_ok =
-          transport->send(net::encode_hello(net::HelloMsg{
-              worker_id, static_cast<std::uint32_t>(hosted.size())})) ==
-          net::TransportStatus::Ok;
-      for (std::size_t id : hosted) {
-        if (!handshake_ok) break;
-        const auto summary = stats::summarize_response(fed.clients[id].train);
-        handshake_ok =
-            transport->send(net::encode_summary(stats::encode_summary_msg(
-                static_cast<std::uint32_t>(id), summary))) ==
-            net::TransportStatus::Ok;
-      }
-    }
-    if (!transport || !handshake_ok) {
-      ++failed_connects;
-      if (failed_connects > reconnect_attempts) {
-        std::fprintf(stderr,
-                     "worker %u: %d consecutive connect attempts failed; "
-                     "giving up\n",
-                     worker_id, failed_connects);
-        return kExitConnectExhausted;
-      }
-      // Capped exponential backoff with jitter in [0.5, 1.5)x.
-      const int shift = std::min(failed_connects - 1, 5);
-      const double backoff =
-          static_cast<double>(reconnect_backoff_ms) *
-          static_cast<double>(1 << shift) *
-          (0.5 + jitter_rng.uniform());
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(static_cast<int>(backoff)));
-      continue;
-    }
-    failed_connects = 0;
     if (sessions > 0) reconnects.inc();
     ++sessions;
     std::fprintf(stderr,
                  "worker %u: session %zu on %s, hosting %zu client(s)\n",
-                 worker_id, sessions, transport->peer().c_str(),
-                 hosted.size());
+                 worker_id, sessions, transport->peer().c_str(), num_hosted);
 
     // Chaos wraps the established session (the handshake above runs clean;
     // chaos targets steady-state serving traffic). Fork the seed per
     // session so a reconnect does not replay the identical fault script.
-    auto session =
-        net::wrap_chaos(std::move(transport),
-                        [&] {
-                          net::ChaosOptions forked = chaos;
-                          forked.seed =
-                              chaos.seed ^ (0xd15c0113c7ULL * sessions) ^
-                              worker_id;
-                          return forked;
-                        }());
+    net::ChaosOptions forked = chaos;
+    forked.seed = chaos.seed ^ (0xd15c0113c7ULL * sessions) ^ worker_id;
+    auto session = net::wrap_chaos(std::move(transport), forked);
 
     const fl::WorkerRunEnd end = loop.serve(*session);
     if (end == fl::WorkerRunEnd::Shutdown) break;

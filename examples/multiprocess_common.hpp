@@ -7,13 +7,6 @@
 // its local data.
 #pragma once
 
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <stdexcept>
-#include <string>
-#include <thread>
-
 #include "bench/harness.hpp"
 #include "src/common/rng.hpp"
 #include "src/data/partition.hpp"
@@ -31,41 +24,6 @@ inline data::FederatedDataset build_federation(
 /// The model-factory seed both processes must agree on (same constant
 /// tools/haccs_run.cpp uses, so a TCP run is comparable to a local one).
 inline constexpr std::uint64_t kModelSeed = 99;
-
-/// Publishes the listen port atomically: write a sibling temp file, then
-/// rename over `path`. A worker polling the file either sees nothing or the
-/// complete port — never a partially written number (the old plain-fopen
-/// write raced the worker's poll).
-inline void write_port_file(const std::string& path, std::uint16_t port) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) throw std::runtime_error("cannot write " + tmp);
-  std::fprintf(f, "%u\n", port);
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("cannot publish port file " + path);
-  }
-}
-
-/// Polls `path` until it holds a port number (the upstream process writes
-/// it after binding — the normal race in a scripted multi-process launch).
-inline std::uint16_t wait_for_port_file(const std::string& path,
-                                        int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    std::ifstream in(path);
-    int port = 0;
-    if (in && (in >> port) && port > 0 && port <= 65535) {
-      return static_cast<std::uint16_t>(port);
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      throw std::runtime_error("timed out waiting for port file " + path);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-}
 
 /// Shared --chaos-* flags (both binaries take the same knobs; each process
 /// injects on its own outbound traffic).

@@ -1,7 +1,6 @@
 #include "src/net/fanin.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -16,18 +15,10 @@
 #include <stdexcept>
 
 #include "src/common/logging.hpp"
+#include "src/net/tcp.hpp"
 #include "src/net/transport.hpp"
 
 namespace haccs::net {
-
-namespace {
-
-void set_nonblocking(int fd) {
-  const int fl = ::fcntl(fd, F_GETFL, 0);
-  if (fl >= 0) ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // PollGroup
@@ -144,31 +135,7 @@ std::size_t PollGroup::wait(std::vector<Ready>& out, int timeout_ms) {
 // FanInServer
 
 FanInServer::FanInServer(const FanInOptions& options) : options_(options) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error(std::string("fanin: socket: ") +
-                             std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options.port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 128) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("fanin: bind/listen: " + err);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  listen_fd_ = listen_loopback("fanin", options.port, 128, &port_);
   set_nonblocking(listen_fd_);
   group_.add(listen_fd_, true, false);
 }

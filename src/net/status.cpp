@@ -1,6 +1,5 @@
 #include "src/net/status.hpp"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -11,6 +10,7 @@
 #include <stdexcept>
 
 #include "src/common/logging.hpp"
+#include "src/net/tcp.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace haccs::net {
@@ -55,36 +55,7 @@ std::string http_response(const char* status, const char* content_type,
 
 StatusServer::StatusServer(std::uint16_t port, StatusEndpoints endpoints)
     : endpoints_(std::move(endpoints)) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    throw std::runtime_error(std::string("status: socket: ") +
-                             std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("status: bind 127.0.0.1:" +
-                             std::to_string(port) + ": " + err);
-  }
-  if (::listen(fd_, 8) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("status: listen: " + err);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  fd_ = listen_loopback("status", port, 8, &port_);
   thread_ = std::thread([this] { run(); });
 }
 

@@ -61,8 +61,7 @@ class TcpTransport final : public Transport {
     // Non-blocking I/O: poll() owns all waiting, so every call honors its
     // deadline even mid-frame (a blocking send could stall past the timeout
     // inside the kernel once poll reported partial writability).
-    const int fl = ::fcntl(fd_, F_GETFL, 0);
-    if (fl >= 0) ::fcntl(fd_, F_SETFL, fl | O_NONBLOCK);
+    set_nonblocking(fd_);
   }
 
   ~TcpTransport() override { close(); }
@@ -229,34 +228,39 @@ std::unique_ptr<Transport> connect_tcp(const std::string& host,
   return nullptr;
 }
 
-TcpListener::TcpListener(std::uint16_t port, int backlog) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    throw std::runtime_error(std::string("tcp: socket: ") +
-                             std::strerror(errno));
-  }
+int listen_loopback(const char* component, std::uint16_t port, int backlog,
+                    std::uint16_t* bound) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  auto fail = [&](const char* op) {
+    const std::string err = std::strerror(errno);
+    if (fd >= 0) ::close(fd);
+    throw std::runtime_error(std::string(component) + ": " + op +
+                             " 127.0.0.1:" + std::to_string(port) + ": " +
+                             err);
+  };
+  if (fd < 0) fail("socket");
   const int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = make_addr("127.0.0.1", port);
-  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("tcp: bind 127.0.0.1:" + std::to_string(port) +
-                             ": " + err);
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  const sockaddr_in addr = make_addr("127.0.0.1", port);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    fail("bind");
   }
-  if (::listen(fd_, backlog) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("tcp: listen: " + err);
+  if (::listen(fd, backlog) != 0) fail("listen");
+  sockaddr_in got{};
+  socklen_t len = sizeof(got);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&got), &len) == 0) {
+    *bound = ntohs(got.sin_port);
   }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  return fd;
+}
+
+void set_nonblocking(int fd) {
+  const int fl = ::fcntl(fd, F_GETFL, 0);
+  if (fl >= 0) ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
+}
+
+TcpListener::TcpListener(std::uint16_t port, int backlog) {
+  fd_ = listen_loopback("tcp", port, backlog, &port_);
 }
 
 TcpListener::~TcpListener() {

@@ -34,6 +34,15 @@ std::unique_ptr<Transport> connect_tcp(const std::string& host,
                                        std::uint16_t port,
                                        const TcpConnectOptions& options = {});
 
+/// Opens a listening socket on 127.0.0.1:`port` (0 = ephemeral) with
+/// SO_REUSEADDR and returns its fd; `*bound` receives the bound port. Throws
+/// std::runtime_error naming `component`, the address and the errno text.
+int listen_loopback(const char* component, std::uint16_t port, int backlog,
+                    std::uint16_t* bound);
+
+/// Sets O_NONBLOCK on `fd`.
+void set_nonblocking(int fd);
+
 /// Listening socket for the server side.
 class TcpListener {
  public:

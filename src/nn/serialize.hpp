@@ -5,8 +5,7 @@
 // a length-prefixed float32 array. Sharing the frame format with the
 // transport layer means checkpoints get the same integrity checking as
 // network traffic — truncation, header damage, and payload corruption each
-// fail loudly at load with a distinct message. Files written by the
-// pre-frame "HCCS" v1 format are still readable.
+// fail loudly at load with a distinct message.
 //
 // The architecture itself is code (model factories are deterministic in
 // their seed), so checkpoints store only the parameters — the caller pairs

@@ -36,8 +36,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 #include "src/select/random_selector.hpp"
-#include "src/stats/summary.hpp"
-#include "src/stats/summary_codec.hpp"
+#include "src/serve/session.hpp"
 
 namespace haccs {
 namespace {
@@ -348,20 +347,9 @@ struct TreeHarness {
       threads_.emplace_back([this, &fed, factory, w, per] {
         auto transport =
             net::connect_tcp("127.0.0.1", aggs_[w / per]->port());
-        std::vector<std::uint32_t> hosted;
-        for (std::size_t c = w; c < fed.clients.size(); c += num_workers_) {
-          hosted.push_back(static_cast<std::uint32_t>(c));
-        }
-        net::HelloMsg hello;
-        hello.worker_id = static_cast<std::uint32_t>(w);
-        hello.num_clients = static_cast<std::uint32_t>(hosted.size());
-        transport->send(net::encode_hello(hello), 10000);
-        for (const std::uint32_t c : hosted) {
-          transport->send(
-              net::encode_summary(stats::encode_summary_msg(
-                  c, stats::summarize_response(fed.clients[c].train))),
-              10000);
-        }
+        serve::send_session_handshake(
+            *transport, fed, static_cast<std::uint32_t>(w),
+            static_cast<std::uint32_t>(num_workers_));
         fl::WorkerLoopConfig config;
         config.worker_id = static_cast<std::uint32_t>(w);
         fl::WorkerLoop loop(fed, factory, config);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -23,9 +24,11 @@
 #include "src/fl/net_driver.hpp"
 #include "src/fl/protocol.hpp"
 #include "src/net/crc32.hpp"
+#include "src/net/fanin.hpp"
 #include "src/net/frame.hpp"
 #include "src/net/loopback.hpp"
 #include "src/net/messages.hpp"
+#include "src/net/status.hpp"
 #include "src/net/tcp.hpp"
 #include "src/net/wire.hpp"
 #include "src/nn/layer.hpp"
@@ -791,8 +794,9 @@ TEST(Checkpoint, GarbageFileIsNotACheckpoint) {
   }
 }
 
-TEST(Checkpoint, LegacyV1FilesStillLoad) {
-  // Hand-write the pre-frame format: "HCCS", u32 version, u64 count, floats.
+TEST(Checkpoint, LegacyV1FilesAreRejected) {
+  // The retired pre-frame format: "HCCS", u32 version, u64 count, floats.
+  // Its magic is not the frame magic "HNET", so it is not a checkpoint.
   const std::vector<float> params = {0.5f, -1.25f, 3.0f};
   std::vector<std::uint8_t> bytes = {'H', 'C', 'C', 'S', 1, 0, 0, 0};
   const std::uint64_t count = params.size();
@@ -802,7 +806,13 @@ TEST(Checkpoint, LegacyV1FilesStillLoad) {
   bytes.insert(bytes.end(), pp, pp + params.size() * sizeof(float));
   const std::string path = temp_path("ckpt_legacy.bin");
   write_file(path, bytes);
-  EXPECT_EQ(nn::load_parameters(path), params);
+  try {
+    nn::load_parameters(path);
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not a HACCS checkpoint"),
+              std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -907,6 +917,30 @@ TEST(Tcp, ConnectGivesUpAfterConfiguredAttempts) {
   options.attempts = 2;
   options.initial_backoff_ms = 1;
   EXPECT_EQ(net::connect_tcp("127.0.0.1", dead_port, options), nullptr);
+}
+
+TEST(Tcp, LoopbackListenersNameComponentAddressAndErrnoOnBindFailure) {
+  // Every loopback listener (transport, fan-in, status) binds through one
+  // helper; a taken port fails each with the same shaped error.
+  net::TcpListener taken(0);
+  const std::string where =
+      ": bind 127.0.0.1:" + std::to_string(taken.port()) + ": " +
+      std::strerror(EADDRINUSE);
+  auto expect_error = [&](const std::string& component, auto&& make) {
+    try {
+      make();
+      ADD_FAILURE() << component << " bound a taken port";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), component + where);
+    }
+  };
+  expect_error("tcp", [&] { net::TcpListener again(taken.port()); });
+  expect_error("status", [&] { net::StatusServer s(taken.port(), {}); });
+  expect_error("fanin", [&] {
+    net::FanInOptions options;
+    options.port = taken.port();
+    net::FanInServer server(options);
+  });
 }
 
 // ---------------------------------------------------------------------------

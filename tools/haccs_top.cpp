@@ -20,13 +20,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/flags.hpp"
 #include "src/common/table.hpp"
+#include "src/serve/session.hpp"
 
 namespace {
 
@@ -156,22 +156,6 @@ std::string format_age(double age_ms) {
   return haccs::Table::num(age_ms / 1000.0, 1) + "s";
 }
 
-std::uint16_t wait_for_port_file(const std::string& path, int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    std::ifstream in(path);
-    int port = 0;
-    if (in && (in >> port) && port > 0 && port <= 65535) {
-      return static_cast<std::uint16_t>(port);
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      throw std::runtime_error("timed out waiting for port file " + path);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -191,7 +175,7 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr, "need --port or --port-file (--help for usage)\n");
     return 1;
   }
-  if (!port_file.empty()) port = wait_for_port_file(port_file, 30000);
+  if (!port_file.empty()) port = serve::wait_for_port_file(port_file, 30000);
 
   const bool tty = ::isatty(1) != 0;
   long polled = 0;
